@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-check bench-compare profile vet figures clean
+.PHONY: all build test race bench bench-json bench-check bench-compare perfbench-test profile vet figures clean
 
 all: build test
 
@@ -65,6 +65,12 @@ bench-check:
 # Benchstat-style diff of the newest recording against the previous one.
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare BENCH_9.json BENCH_10.json
+
+# The end-to-end benchmark (perfbench/) is its own Go module, so
+# `go test ./...` from the root does not reach it; this vets and tests it
+# (metric emission, the correctness gate, compare) on tiny captures.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Hot-path diagnosis: run the reference EWMA query over a DC trace with
 # CPU and heap profiles; inspect with `go tool pprof cpu.prof`.

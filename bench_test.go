@@ -10,6 +10,7 @@ package perfq
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -518,4 +519,30 @@ func benchPerRecord(b *testing.B, run func(*Query, []Record) error) {
 		done += len(recs)
 	}
 	b.ReportMetric(float64(len(recs)), "records/run")
+}
+
+// benchFormatTable is a table shaped like the Latency EWMA result: the
+// five-tuple plus a fractional latency estimate.
+func benchFormatTable(rows int) *Table {
+	rng := rand.New(rand.NewSource(2016))
+	t := &Table{Schema: []string{"srcip", "dstip", "srcport", "dstport", "proto", "lat_est"}}
+	for i := 0; i < rows; i++ {
+		t.Rows = append(t.Rows, []float64{
+			float64(rng.Uint32()), float64(rng.Uint32()),
+			float64(rng.Intn(65536)), float64(rng.Intn(65536)), 6,
+			rng.ExpFloat64() * 1e5,
+		})
+	}
+	return t
+}
+
+// BenchmarkTableFormat formats a result the size of a WAN replay's
+// (77,842 flows × 6 columns) to io.Discard.
+func BenchmarkTableFormat(b *testing.B) {
+	tab := benchFormatTable(77842)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tab.Format(io.Discard, 0)
+	}
 }

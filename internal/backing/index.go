@@ -1,14 +1,18 @@
 package backing
 
-import "perfq/internal/packet"
+import (
+	"math/bits"
+
+	"perfq/internal/packet"
+)
 
 // keyIndex is the store's key→entry index: an open-addressing hash table
 // over packet.Key128 with linear probing. It replaces the previous
 // map[packet.Key128]int32 on the eviction hot path for three reasons:
 //
 //   - The probe is inline code over two flat arrays (no hash-function
-//     interface, no bucket pointers), reusing the same word-mix
-//     Key128.Hash the cache's bucket index uses.
+//     interface, no bucket pointers), reusing the word-mix Key128.Hash
+//     the cache already computes.
 //   - Growth is tombstone-free by construction: keys are never deleted
 //     individually (Reset drops the whole key space), so the table only
 //     ever rebuilds into a larger array — a straight reinsertion with no
@@ -18,12 +22,23 @@ import "perfq/internal/packet"
 //     touches no allocator (the map version re-allocated buckets as the
 //     next window's keys re-arrived).
 //
+// A key's home slot is the top log2(len(slots)) bits of its hash. The
+// cache picks its bucket from the low bits and flushes bucket by bucket,
+// so a bulk flush arrives sorted by those low bits. Homed on the same
+// bits, that sorted stream piles into one cluster, and every insert
+// probes to its end, for as long as the table is no larger than twice
+// the bucket count. The high bits are independent of flush order, so
+// the stream lands in effectively random slots. grow reinserts in
+// old-slot order, which maps old slot i to new slots 2i and 2i+1, so
+// rebuilds stay cluster-free too.
+//
 // Slots hold entry index + 1 so the zero value means empty and clearing
 // is a memset. Load is kept at or below 3/4.
 type keyIndex struct {
 	keys  []packet.Key128
 	slots []int32 // entry index + 1; 0 = empty
 	mask  uint64
+	shift uint // 64 - log2(len(slots)): home = hash >> shift
 	used  int
 }
 
@@ -34,15 +49,19 @@ func (ix *keyIndex) init(size int) {
 	ix.keys = make([]packet.Key128, size)
 	ix.slots = make([]int32, size)
 	ix.mask = uint64(size - 1)
+	ix.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	ix.used = 0
 }
+
+// home is key's home slot: the hash's high bits (see keyIndex).
+func (ix *keyIndex) home(key packet.Key128) uint64 { return key.Hash() >> ix.shift }
 
 // get returns the entry index for key, if present.
 func (ix *keyIndex) get(key packet.Key128) (int32, bool) {
 	if ix.slots == nil {
 		return 0, false
 	}
-	i := key.Hash() & ix.mask
+	i := ix.home(key)
 	for {
 		v := ix.slots[i]
 		if v == 0 {
@@ -68,7 +87,7 @@ func (ix *keyIndex) put(key packet.Key128, id int32) {
 
 // insert places key→id at the end of its probe chain (no growth check).
 func (ix *keyIndex) insert(key packet.Key128, id int32) {
-	i := key.Hash() & ix.mask
+	i := ix.home(key)
 	for ix.slots[i] != 0 {
 		i = (i + 1) & ix.mask
 	}

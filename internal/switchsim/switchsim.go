@@ -376,50 +376,31 @@ func (d *Datapath) serialFeed() bool {
 // Run streams a whole source and flushes. With Shards > 1 the stream is
 // hash-partitioned across one worker goroutine per shard (applied
 // inline at GOMAXPROCS=1, where workers could not run in parallel).
+// Otherwise records go through Feed a block at a time, so a single
+// shard takes the columnar block path whatever the source. On a source
+// error the records read before it stay applied and nothing is flushed.
 func (d *Datapath) Run(src trace.Source) error {
-	if len(d.shards) == 1 {
+	if len(d.shards) == 1 || d.serialFeed() {
 		if ss, ok := src.(*trace.SliceSource); ok {
-			// Bulk replay from memory: run the columnar block path over
-			// the records in place instead of copying each through Next.
-			rest := ss.Rest()
-			d.shards[0].processBlocks(d, rest)
-			d.packets += uint64(len(rest))
+			// Bulk replay from memory: feed the records in place instead
+			// of copying each through Next.
+			d.Feed(ss.Rest())
 			d.Flush()
 			return nil
 		}
-		var rec trace.Record
-		for {
-			err := src.Next(&rec)
-			if err == io.EOF {
-				break
+		blk := make([]trace.Record, fold.BlockSize)
+		var err error
+		for err == nil {
+			n := 0
+			for ; n < len(blk); n++ {
+				if err = src.Next(&blk[n]); err != nil {
+					break
+				}
 			}
-			if err != nil {
-				return err
-			}
-			d.Process(&rec)
+			d.Feed(blk[:n])
 		}
-		d.Flush()
-		return nil
-	}
-	if d.serialFeed() {
-		if ss, ok := src.(*trace.SliceSource); ok {
-			rest := ss.Rest()
-			for i := range rest {
-				d.Process(&rest[i])
-			}
-			d.Flush()
-			return nil
-		}
-		var rec trace.Record
-		for {
-			err := src.Next(&rec)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			d.Process(&rec)
+		if err != io.EOF {
+			return err
 		}
 		d.Flush()
 		return nil

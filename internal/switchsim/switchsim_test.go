@@ -1,6 +1,8 @@
 package switchsim
 
 import (
+	"errors"
+	"io"
 	"math"
 	"testing"
 	"time"
@@ -295,4 +297,90 @@ R2 = SELECT qid, tin WHERE proto == 6`)
 			}
 		}
 	}
+}
+
+// streamSource hides a slice behind the plain Source interface, so Run
+// cannot take its SliceSource shortcut; with failAt > 0 it returns
+// errStream in place of record failAt.
+type streamSource struct {
+	recs   []trace.Record
+	pos    int
+	failAt int
+}
+
+var errStream = errors.New("stream broke")
+
+func (s *streamSource) Next(rec *trace.Record) error {
+	if s.failAt > 0 && s.pos == s.failAt {
+		return errStream
+	}
+	if s.pos >= len(s.recs) {
+		return io.EOF
+	}
+	*rec = s.recs[s.pos]
+	s.pos++
+	return nil
+}
+
+// TestRunStreamingSourceMatchesSlice pins Run over a streaming source to
+// the in-memory replay, bit for bit, and its error contract: on a source
+// error mid-block the records read before it are applied, the error is
+// returned and nothing is flushed.
+func TestRunStreamingSourceMatchesSlice(t *testing.T) {
+	plan := compilePlan(t, `R1 = SELECT COUNT GROUPBY 5tuple
+R2 = SELECT qid, tin WHERE proto == 6`)
+	recs := testTrace(t)
+	cfg := Config{Geometry: kvstore.SetAssociative(1<<10, 8)}
+	run := func(src trace.Source) (*Datapath, error) {
+		dp, err := New(plan, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dp, dp.Run(src)
+	}
+	sameTables := func(what string, got, want *Datapath) {
+		t.Helper()
+		if got.Packets() != want.Packets() {
+			t.Fatalf("%s: packets %d, want %d", what, got.Packets(), want.Packets())
+		}
+		wt, gt := want.Tables(), got.Tables()
+		for name, w := range wt {
+			g := gt[name]
+			if g == nil || len(g.Rows) != len(w.Rows) {
+				t.Fatalf("%s: table %s: got %v, want %d rows", what, name, g, len(w.Rows))
+			}
+			for i := range w.Rows {
+				for j := range w.Rows[i] {
+					if math.Float64bits(g.Rows[i][j]) != math.Float64bits(w.Rows[i][j]) {
+						t.Fatalf("%s: table %s row %d col %d: %v != %v", what, name, i, j, g.Rows[i][j], w.Rows[i][j])
+					}
+				}
+			}
+		}
+	}
+
+	want, err := run(&trace.SliceSource{Records: recs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := run(&streamSource{recs: recs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTables("stream", got, want)
+
+	const failAt = 1000 // mid-block: not a multiple of the block size
+	broken, err := run(&streamSource{recs: recs, failAt: failAt})
+	if !errors.Is(err, errStream) {
+		t.Fatalf("Run = %v, want %v", err, errStream)
+	}
+	if st := broken.Stats()[0]; st.Flushed != 0 {
+		t.Fatalf("Run flushed %d entries after a source error", st.Flushed)
+	}
+	broken.Flush()
+	prefix, err := run(&trace.SliceSource{Records: recs[:failAt]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTables("prefix before error", broken, prefix)
 }

@@ -27,7 +27,9 @@ package perfq
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"perfq/internal/compiler"
 	"perfq/internal/exec"
@@ -765,38 +767,69 @@ type Table struct {
 // Len returns the row count.
 func (t *Table) Len() int { return len(t.Rows) }
 
-// Format pretty-prints up to maxRows rows (0 = all).
+// formatChunk is the least Format hands its writer in one Write (the
+// last Write excepted).
+const formatChunk = 32 << 10
+
+// cellPad is a full cell's worth of padding.
+const cellPad = "                "
+
+// Format pretty-prints up to maxRows rows (0 = all). Every cell is
+// left-aligned in a 16-column field — exactly fmt's %-16s, %-16d and
+// %-16.4f — with address columns as dotted quads, integral values as
+// integers and the rest to four decimals. Rows render into one reused
+// buffer written out in chunks; a failed Write ends the output.
 func (t *Table) Format(w io.Writer, maxRows int) {
-	for _, c := range t.Schema {
-		fmt.Fprintf(w, "%-16s", c)
-	}
-	fmt.Fprintln(w)
 	n := len(t.Rows)
 	if maxRows > 0 && n > maxRows {
 		n = maxRows
 	}
-	for i := 0; i < n; i++ {
-		for j, v := range t.Rows[i] {
-			if isAddrColumn(t.Schema[j]) {
-				fmt.Fprintf(w, "%-16s", fmtAddr(v))
-			} else if v == float64(int64(v)) {
-				fmt.Fprintf(w, "%-16d", int64(v))
-			} else {
-				fmt.Fprintf(w, "%-16.4f", v)
+	buf := make([]byte, 0, min((n+1)*(len(cellPad)*len(t.Schema)+1)+64, 2*formatChunk))
+	for _, c := range t.Schema {
+		buf = padCell(append(buf, c...), utf8.RuneCountInString(c))
+	}
+	buf = append(buf, '\n')
+	for _, row := range t.Rows[:n] {
+		for j, v := range row {
+			start := len(buf)
+			switch {
+			case isAddrColumn(t.Schema[j]):
+				u := uint32(int64(v))
+				buf = strconv.AppendUint(buf, uint64(u>>24), 10)
+				buf = strconv.AppendUint(append(buf, '.'), uint64(u>>16&0xff), 10)
+				buf = strconv.AppendUint(append(buf, '.'), uint64(u>>8&0xff), 10)
+				buf = strconv.AppendUint(append(buf, '.'), uint64(u&0xff), 10)
+			case v == float64(int64(v)):
+				buf = strconv.AppendInt(buf, int64(v), 10)
+			default:
+				buf = strconv.AppendFloat(buf, v, 'f', 4, 64)
 			}
+			buf = padCell(buf, len(buf)-start)
 		}
-		fmt.Fprintln(w)
+		buf = append(buf, '\n')
+		if len(buf) >= formatChunk {
+			if _, err := w.Write(buf); err != nil {
+				return
+			}
+			buf = buf[:0]
+		}
 	}
 	if n < len(t.Rows) {
-		fmt.Fprintf(w, "… (%d more rows)\n", len(t.Rows)-n)
+		buf = append(buf, "… ("...)
+		buf = strconv.AppendInt(buf, int64(len(t.Rows)-n), 10)
+		buf = append(buf, " more rows)\n"...)
 	}
+	_, _ = w.Write(buf) // the last chunk: nothing is left to stop
 }
 
 func isAddrColumn(name string) bool { return name == "srcip" || name == "dstip" }
 
-func fmtAddr(v float64) string {
-	u := uint32(int64(v))
-	return fmt.Sprintf("%d.%d.%d.%d", u>>24, u>>16&0xff, u>>8&0xff, u&0xff)
+// padCell pads a cell of width runes, just appended to buf, to 16.
+func padCell(buf []byte, width int) []byte {
+	if width < len(cellPad) {
+		buf = append(buf, cellPad[width:]...)
+	}
+	return buf
 }
 
 // WANTrace returns a deterministic CAIDA-like synthetic capture: Poisson
