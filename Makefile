@@ -42,29 +42,32 @@ bench:
 # replay (pkts/s, serial vs worker-per-switch), the windowed-runtime
 # boundary overhead (pkts/s at window sizes 1k/10k/100k vs
 # single-window), the observability on/off A-B, the trace-sampling
-# on/off A-B, the transport batch sweep and the fold-eval microbench,
-# written as JSON for the repo's BENCH_*.json history. pipefail so a
-# failing benchmark can't silently record a partial file; the recorded
-# file is then procs-checked.
+# on/off A-B, the transport batch sweep, the router's per-record cost,
+# the sparse window-close flush and the fold-eval microbench, written as
+# JSON for the repo's BENCH_*.json history. Every benchmark runs 5
+# times; benchjson records each entry's median with its ns/op min and
+# max. pipefail so a failing benchmark can't silently record a partial
+# file; the recorded file is then procs-checked.
 bench-json: SHELL := /bin/bash
 bench-json:
 	set -o pipefail; \
-	{ $(GO) test -bench 'BenchmarkShardedDatapath|BenchmarkFabricDatapath|BenchmarkWindowedDatapath|BenchmarkObsOverhead|BenchmarkTraceOverhead' -benchtime 2s -benchmem -run XXX . && \
-	  $(GO) test -bench 'BenchmarkWorkersTransport' -benchtime 1s -benchmem -run XXX ./internal/shard && \
-	  $(GO) test -bench 'BenchmarkFoldEval' -benchtime 1s -benchmem -run XXX ./internal/fold ; } \
-	| $(GO) run ./cmd/benchjson -out BENCH_10.json
-	$(GO) run ./cmd/benchjson -check BENCH_10.json
-	@cat BENCH_10.json
+	{ $(GO) test -bench 'BenchmarkShardedDatapath|BenchmarkFabricDatapath|BenchmarkWindowedDatapath|BenchmarkObsOverhead|BenchmarkTraceOverhead' -benchtime 2s -benchmem -count 5 -run XXX . && \
+	  $(GO) test -bench 'BenchmarkWorkersTransport|BenchmarkRoute' -benchtime 1s -benchmem -count 5 -run XXX ./internal/shard && \
+	  $(GO) test -bench 'BenchmarkFlushSparse' -benchtime 2000x -benchmem -count 5 -run XXX ./internal/kvstore && \
+	  $(GO) test -bench 'BenchmarkFoldEval' -benchtime 1s -benchmem -count 5 -run XXX ./internal/fold ; } \
+	| $(GO) run ./cmd/benchjson -out BENCH_13.json
+	$(GO) run ./cmd/benchjson -check BENCH_13.json
+	@cat BENCH_13.json
 
 # Guard the recorded trajectory: fail if any multi-shard entry of the
 # newest recording claims procs: 1 on a multi-CPU host (the harness bug
 # that made the BENCH_3..5 scaling series fiction). CI runs this.
 bench-check:
-	$(GO) run ./cmd/benchjson -check BENCH_10.json
+	$(GO) run ./cmd/benchjson -check BENCH_13.json
 
 # Benchstat-style diff of the newest recording against the previous one.
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_9.json BENCH_10.json
+	$(GO) run ./cmd/benchjson -compare BENCH_10.json BENCH_13.json
 
 # The end-to-end benchmark (perfbench/) is its own Go module, so
 # `go test ./...` from the root does not reach it; this vets and tests it
@@ -79,8 +82,12 @@ profile: build
 		-cpuprofile cpu.prof -memprofile mem.prof -rows 5 testdata/ewma.pq
 	@echo "wrote cpu.prof and mem.prof — inspect with: go tool pprof cpu.prof"
 
+# Static checks: go vet, and gofmt over every tracked Go file (any file
+# gofmt would rewrite fails the target).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 # The paper's evaluation at CI scale.
 figures:

@@ -3,11 +3,13 @@
 //
 //	go test -bench BenchmarkShardedDatapath -benchmem . | benchjson -out BENCH_6.json
 //
-// Each benchmark line becomes one entry with the standard ns/op, B/op
-// and allocs/op columns plus any custom ReportMetric columns (pkts/s,
-// evict%, …) keyed by metric name. The document records NumCPU so a
-// reader can tell a host that could not run wider from a harness that
-// never asked.
+// Each benchmark becomes one entry with the standard ns/op, B/op and
+// allocs/op columns plus any custom ReportMetric columns (pkts/s,
+// evict%, …) keyed by metric name. Repeated lines of one benchmark
+// (`go test -count N`) merge into one entry: every column becomes the
+// median of the N samples, and ns_min/ns_max keep the ns/op spread. The
+// document records NumCPU so a reader can tell a host that could not run
+// wider from a harness that never asked.
 //
 // Two more modes operate on recorded files:
 //
@@ -39,6 +41,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,6 +52,9 @@ type Entry struct {
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
+	Samples    int                `json:"samples,omitempty"`
+	NsMin      float64            `json:"ns_min,omitempty"`
+	NsMax      float64            `json:"ns_max,omitempty"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -128,6 +134,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
+	doc.Entries = mergeSamples(doc.Entries)
 	doc.Go = runtime.Version()
 	doc.CPUs = runtime.NumCPU()
 
@@ -145,6 +152,60 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// mergeSamples folds repeated entries of one benchmark into a single
+// entry, in first-appearance order: the median of every column, with the
+// sample count and the ns/op minimum and maximum.
+func mergeSamples(in []Entry) []Entry {
+	var order []string
+	byName := map[string][]Entry{}
+	for _, e := range in {
+		if _, ok := byName[e.Name]; !ok {
+			order = append(order, e.Name)
+		}
+		byName[e.Name] = append(byName[e.Name], e)
+	}
+	out := make([]Entry, 0, len(order))
+	for _, name := range order {
+		es := byName[name]
+		if len(es) == 1 {
+			out = append(out, es[0])
+			continue
+		}
+		m := Entry{Name: name, Iterations: es[0].Iterations, Samples: len(es)}
+		ns := make([]float64, len(es))
+		for i, e := range es {
+			ns[i] = e.NsPerOp
+		}
+		m.NsPerOp, m.NsMin, m.NsMax = median(ns), slices.Min(ns), slices.Max(ns)
+		for unit := range es[0].Metrics {
+			vs := make([]float64, 0, len(es))
+			for _, e := range es {
+				if v, ok := e.Metrics[unit]; ok {
+					vs = append(vs, v)
+				}
+			}
+			if m.Metrics == nil {
+				m.Metrics = map[string]float64{}
+			}
+			m.Metrics[unit] = median(vs)
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// median returns the middle value of vs (the mean of the two middle
+// values for an even count).
+func median(vs []float64) float64 {
+	s := slices.Clone(vs)
+	slices.Sort(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 func readDoc(path string) (*Doc, error) {

@@ -65,8 +65,8 @@ type Store struct {
 	s0 []float64 // the fold's initial state, for P-only merges
 	ix keyIndex
 
-	ents  chunked[entry]    // entry id = state row id in slab
-	slab  rowArena          // one state row per entry (merged values)
+	ents  chunked[entry] // entry id = state row id in slab
+	slab  rowArena       // one state row per entry (merged values)
 	nodes chunked[epochNode]
 	erows rowArena // one state row per recorded epoch
 

@@ -12,6 +12,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -358,48 +359,67 @@ func (e *Engine) runJoin(st *compiler.Stage) (*Table, error) {
 		return nil, fmt.Errorf("exec: join %s right input %s not materialized", st.Name, st.Right.Name)
 	}
 	k := st.OnCols
-	index := make(map[string][]float64, len(right.Rows))
+	// Every build-side key is encoded back to back into one string and
+	// the index keys are substrings of it, so the build allocates once
+	// rather than once per row; probes look up through a reused scratch
+	// encoding (a map index by string(buf) does not allocate).
+	kw := 8 * k
+	enc := make([]byte, 0, kw*len(right.Rows))
 	for _, row := range right.Rows {
-		index[rowKey(row[:k])] = row
+		enc = appendRowKey(enc, row[:k])
 	}
-	t := &Table{Schema: st.Schema}
+	keys := string(enc)
+	index := make(map[string][]float64, len(right.Rows))
+	for i, row := range right.Rows {
+		index[keys[i*kw:(i+1)*kw]] = row
+	}
+	// Matches are bounded by the smaller side when keys are unique, so
+	// one slab chunk of that many output rows usually holds them all.
+	n := min(len(left.Rows), len(right.Rows))
+	width := k + len(st.JoinCols)
+	t := &Table{Schema: st.Schema, Rows: make([][]float64, 0, n)}
+	var (
+		probe    = make([]byte, 0, kw)
+		combined []float64 // reused: predicate and column codes only read it
+		slab     []float64
+		in       fold.Input
+	)
 	for _, lrow := range left.Rows {
-		rrow, ok := index[rowKey(lrow[:k])]
+		probe = appendRowKey(probe[:0], lrow[:k])
+		rrow, ok := index[string(probe)]
 		if !ok {
 			continue
 		}
-		combined := make([]float64, 0, len(lrow)+len(rrow))
-		combined = append(combined, lrow...)
-		combined = append(combined, rrow...)
-		in := fold.Input{Cols: combined}
+		combined = append(append(combined[:0], lrow...), rrow...)
+		in.Cols = combined
 		if !predCode(st.JoinWhereCode, st.JoinWhere, &in) {
 			continue
 		}
-		out := make([]float64, 0, k+len(st.JoinCols))
-		out = append(out, lrow[:k]...)
+		if len(slab)+width > cap(slab) {
+			slab = make([]float64, 0, max(n, 1)*width)
+		}
+		start := len(slab)
+		slab = append(slab, lrow[:k]...)
 		for i, c := range st.JoinCols {
 			var code *fold.Code
 			if st.JoinColCodes != nil {
 				code = st.JoinColCodes[i]
 			}
-			out = append(out, exprCode(code, c, &in))
+			slab = append(slab, exprCode(code, c, &in))
 		}
-		t.Rows = append(t.Rows, out)
+		t.Rows = append(t.Rows, slab[start:len(slab):len(slab)])
 	}
 	t.Sort()
 	return t, nil
 }
 
-// rowKey encodes a key prefix for hash-join lookup.
-func rowKey(vals []float64) string {
-	b := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		u := uint64(int64(v))
-		for j := 0; j < 8; j++ {
-			b[i*8+j] = byte(u >> (8 * j))
-		}
+// appendRowKey appends the hash-join encoding of a key prefix: each value
+// truncated to int64 and stored as 8 little-endian bytes.
+func appendRowKey(b []byte, vals []float64) []byte {
+	for _, v := range vals {
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(v)))
 	}
-	return string(b)
+	return b
 }
 
 // Run evaluates the full plan over a source with unbounded memory.
@@ -470,17 +490,20 @@ func RunParallel(plan *compiler.Plan, src trace.Source, n int) (map[string]*Tabl
 		freeMask = 1 << uint(len(groupStgs))
 	}
 	_, err := shard.Run(shard.Config{Shards: n, Keys: keys, Targets: targets, FreeMask: freeMask}, src,
-		func(s int, rec *trace.Record, mask uint64) {
+		func(s int, b *shard.Batch) {
 			w := workers[s]
-			in := fold.Input{Rec: rec}
-			if mask&freeMask != 0 {
-				for _, st := range selectStgs {
-					w.processSelect(st, &in)
+			for r := range b.Recs {
+				rec, mask := &b.Recs[r], b.Masks[r]
+				in := fold.Input{Rec: rec}
+				if mask&freeMask != 0 {
+					for _, st := range selectStgs {
+						w.processSelect(st, &in)
+					}
 				}
-			}
-			for i, st := range groupStgs {
-				if mask&(1<<uint(i)) != 0 {
-					w.processGroup(st, rec, &in)
+				for i, st := range groupStgs {
+					if mask&(1<<uint(i)) != 0 {
+						w.processGroup(st, rec, &in)
+					}
 				}
 			}
 		})

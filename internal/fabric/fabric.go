@@ -34,7 +34,6 @@ package fabric
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"time"
 
@@ -74,13 +73,17 @@ type Fabric struct {
 	ids   []uint16
 	dps   map[uint16]*switchsim.Datapath
 
-	// route and widx are the per-record routing tables, dense over switch
-	// ID so the hot loops index a slice instead of probing a map (the map
-	// lookup was ~20% of the serial replay): route[sw] is the switch's
-	// datapath (nil for IDs outside the topology) and widx[sw] its pump
-	// worker index (-1 likewise).
-	route []*switchsim.Datapath
-	widx  []int32
+	// widx is the per-record routing table, dense over switch ID so the
+	// hot loops index a slice instead of probing a map (the map lookup
+	// was ~20% of the serial replay): widx[sw] is the switch's pump
+	// worker index (-1 for IDs outside the topology), and sws[widx[sw]]
+	// its datapath.
+	widx []int32
+	sws  []*switchsim.Datapath
+
+	// inline holds the serial path's per-switch batches, demuxed exactly
+	// as the pump's ring slots are.
+	inline []shard.Batch
 
 	packets  uint64
 	unrouted uint64
@@ -90,7 +93,7 @@ type Fabric struct {
 	// windowed path (nil when idle or serial): a shard.Workers transport
 	// demuxed by switch ID, whose Barrier aligns epoch boundaries across
 	// the fabric.
-	pump *shard.Workers[pumpItem]
+	pump *shard.Workers
 
 	// Sampled tracing at the demux (nil tracer ⇒ trMask == obs.NoSample
 	// and the feed path is unchanged). The demux samples on the
@@ -108,13 +111,6 @@ type Fabric struct {
 	obs *fabObs // fabric-level metric mirrors (nil = off)
 }
 
-// pumpItem is one demuxed record in flight to its switch's worker, with
-// the span the demux began for it when sampled (zero otherwise).
-type pumpItem struct {
-	Rec  trace.Record
-	Span obs.SpanRef
-}
-
 // serialPath reports whether records should bypass the pump and be
 // applied inline: configured serial, a single switch, or no second
 // processor to run a worker on (the pump hop at GOMAXPROCS=1 is pure
@@ -128,72 +124,81 @@ func (f *Fabric) serialPath() bool {
 	return f.cfg.Serial || len(f.ids) == 1 || runtime.GOMAXPROCS(0) < 2
 }
 
-// startPump launches the per-switch workers. With metrics enabled each
-// worker times its batch, then publishes its datapath's mirrors — the
-// worker is the sole owner of that switch's plain counters, so the
-// batch boundary is the race-free publication point.
+// startPump launches the per-switch workers. Each worker hands its ring
+// slot's batch — records plus, when tracing, the demux's spans — to its
+// switch datapath's block loop (a sharded switch applies it through its
+// inline routed path; no pool nests inside the pump). With metrics
+// enabled the worker times its batch, then publishes its datapath's
+// mirrors — the worker is the sole owner of that switch's plain
+// counters, so the batch boundary is the race-free publication point.
 func (f *Fabric) startPump() {
-	dps := make([]*switchsim.Datapath, len(f.ids))
-	for i, id := range f.ids {
-		dps[i] = f.dps[id]
-	}
-	// consume applies one batch to its switch. With tracing on, each
-	// sampled item's span gets its transport hop and is parked in the
-	// datapath's span mailboxes around the inline Process call so cache
-	// hops land on it; the slot is cleared before the batch returns.
-	var consume func(dp *switchsim.Datapath, items []pumpItem)
-	if f.tr != nil {
-		consume = func(dp *switchsim.Datapath, items []pumpItem) {
-			for j := range items {
-				if sp := items[j].Span; sp.Live() {
-					sp.Hop(obs.HopTransport, obs.OutcomeOK, uint64(len(items)))
-					dp.SetTraceSpan(sp)
-					dp.Process(&items[j].Rec)
-					dp.SetTraceSpan(obs.SpanRef{})
-				} else {
-					dp.Process(&items[j].Rec)
-				}
-			}
-		}
-	} else {
-		consume = func(dp *switchsim.Datapath, items []pumpItem) {
-			for j := range items {
-				dp.Process(&items[j].Rec)
-			}
-		}
-	}
+	var tm *obs.TransportMetrics
+	consume := func(i int, b *shard.Batch) { f.sws[i].Apply(b.Recs, b.Spans) }
 	if o := f.obs; o != nil {
-		f.pump = shard.NewWorkersObs(len(f.ids), batch, o.tm, func(i int, items []pumpItem) {
+		tm = o.tm
+		consume = func(i int, b *shard.Batch) {
 			t0 := time.Now()
-			dp := dps[i]
-			consume(dp, items)
+			f.sws[i].Apply(b.Recs, b.Spans)
 			o.swNs[i].Record(uint64(time.Since(t0)))
-			dp.PublishMetrics()
-		})
-		o.pump.Store(f.pump)
-		return
+			f.sws[i].PublishMetrics()
+		}
 	}
-	f.pump = shard.NewWorkers(len(f.ids), batch, func(i int, items []pumpItem) {
-		consume(dps[i], items)
-	})
+	f.pump = shard.NewWorkers(len(f.ids), batch, tm, f.tr != nil, consume)
+	if f.obs != nil {
+		f.obs.pump.Store(f.pump)
+	}
 }
 
-// feed routes one record into the pump's batches (copying it), counting
-// unrouted switch IDs exactly like the serial Process path.
-func (f *Fabric) feed(rec *trace.Record) {
+// demux returns the pump index of rec's switch and counts the record
+// routed, or returns -1 and counts it unrouted when its switch ID is
+// outside the topology.
+func (f *Fabric) demux(rec *trace.Record) int {
 	sw := rec.QID.Switch()
 	if int(sw) >= len(f.widx) || f.widx[sw] < 0 {
 		f.unrouted++
-		return
+		return -1
 	}
 	f.packets++
+	return int(f.widx[sw])
+}
+
+// feed routes one record into the pump's batches (copying it), beginning
+// its span when the demux samples it.
+func (f *Fabric) feed(rec *trace.Record) {
+	w := f.demux(rec)
+	if w < 0 {
+		return
+	}
 	var span obs.SpanRef
 	if f.trMask != obs.NoSample {
 		if key := compiler.FiveTupleKey(rec); key.Hash()&f.trMask == 0 {
-			span = f.tr.Begin(int(f.widx[sw]), key, obs.HopRoute, obs.OutcomeOK)
+			span = f.tr.Begin(w, key, obs.HopRoute, obs.OutcomeOK)
 		}
 	}
-	f.pump.Feed(int(f.widx[sw]), pumpItem{Rec: *rec, Span: span})
+	f.pump.Feed(w, rec, 0, span)
+}
+
+// applyInline is the serial path: it demuxes recs into per-switch
+// batches of up to the pump's batch size and applies each through its
+// switch datapath's block loop on the calling goroutine — the pump's
+// per-switch arrival order, without the hop.
+func (f *Fabric) applyInline(recs []trace.Record) {
+	if f.inline == nil {
+		f.inline = shard.NewBatches(len(f.ids), batch, false)
+	}
+	for base := 0; base < len(recs); base += batch {
+		for i := base; i < min(base+batch, len(recs)); i++ {
+			if w := f.demux(&recs[i]); w >= 0 {
+				f.inline[w].Push(&recs[i], 0, obs.SpanRef{})
+			}
+		}
+		for w := range f.inline {
+			if b := &f.inline[w]; b.Len() > 0 {
+				f.sws[w].Apply(b.Recs, nil)
+				b.Reset()
+			}
+		}
+	}
 }
 
 // Feed processes a run of records without ending the window. When a
@@ -203,9 +208,7 @@ func (f *Fabric) feed(rec *trace.Record) {
 // are copied before Feed returns.
 func (f *Fabric) Feed(recs []trace.Record) {
 	if f.serialPath() {
-		for i := range recs {
-			f.Process(&recs[i])
-		}
+		f.applyInline(recs)
 		f.publishFab()
 		return
 	}
@@ -355,14 +358,14 @@ func New(plan *compiler.Plan, t *topo.Topology, cfg Config) (*Fabric, error) {
 			maxID = id
 		}
 	}
-	f.route = make([]*switchsim.Datapath, int(maxID)+1)
 	f.widx = make([]int32, int(maxID)+1)
 	for i := range f.widx {
 		f.widx[i] = -1
 	}
+	f.sws = make([]*switchsim.Datapath, len(ids))
 	for i, id := range ids {
-		f.route[id] = f.dps[id]
 		f.widx[id] = int32(i)
+		f.sws[i] = f.dps[id]
 	}
 	return f, nil
 }
@@ -392,65 +395,31 @@ func (f *Fabric) Unrouted() uint64 { return f.unrouted }
 // Process routes one record to its owning switch's datapath, inline on
 // the calling goroutine.
 func (f *Fabric) Process(rec *trace.Record) {
-	sw := rec.QID.Switch()
-	if int(sw) >= len(f.route) || f.route[sw] == nil {
-		f.unrouted++
-		return
+	if w := f.demux(rec); w >= 0 {
+		f.sws[w].Process(rec)
 	}
-	f.packets++
-	f.route[sw].Process(rec)
 }
 
-// Run streams a whole source through the fabric and flushes every
-// switch. When a second processor is available (and Config.Serial is
-// unset), one worker goroutine per switch drains its SPSC record ring,
-// filled by a single demultiplexing feeder (the same pump the windowed
-// runtime barriers at epoch boundaries) — per-switch arrival order (and
-// therefore every store's state trajectory) is identical to the serial
-// path, so the two modes produce bit-identical results. At GOMAXPROCS=1
-// records are applied inline instead: the pump hop costs throughput and
-// can buy no parallelism.
+// Run streams a whole source through Feed and flushes every switch.
+// When a second processor is available (and Config.Serial is unset),
+// one worker goroutine per switch drains its SPSC ring of record
+// batches, filled by a single demultiplexing feeder (the same pump the
+// windowed runtime barriers at epoch boundaries) — per-switch arrival
+// order (and therefore every store's state trajectory) is identical to
+// the serial path, so the two modes produce bit-identical results. At
+// GOMAXPROCS=1 records are demuxed and applied inline instead: the pump
+// hop costs throughput and can buy no parallelism.
 func (f *Fabric) Run(src trace.Source) error {
-	if f.serialPath() {
-		if err := eachRecord(src, f.Process); err != nil {
-			return err
-		}
-		f.Flush()
-		return nil
+	if f.pump == nil && !f.serialPath() {
+		f.startPump() // ring set-up is set-up cost: before the first read
 	}
-	if f.pump == nil {
-		f.startPump()
-	}
-	err := eachRecord(src, f.feed)
+	err := trace.Blocks(src, batch, f.Feed)
 	f.EndFeed()
 	if err != nil {
 		return err
 	}
 	f.Flush()
 	return nil
-}
-
-// eachRecord drives fn over a source, using the bulk slice path when
-// available.
-func eachRecord(src trace.Source, fn func(*trace.Record)) error {
-	if ss, ok := src.(*trace.SliceSource); ok {
-		rest := ss.Rest()
-		for i := range rest {
-			fn(&rest[i])
-		}
-		return nil
-	}
-	var rec trace.Record
-	for {
-		err := src.Next(&rec)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		fn(&rec)
-	}
 }
 
 // Flush evicts every switch's cache-resident entries into its backing

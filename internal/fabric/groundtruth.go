@@ -41,9 +41,11 @@ func GroundTruth(plan *compiler.Plan, t *topo.Topology, src trace.Source) (map[s
 		engines[id] = eng
 		srcs[i] = engineSource{plan: plan, eng: eng}
 	}
-	err := eachRecord(src, func(rec *trace.Record) {
-		if eng, ok := engines[rec.QID.Switch()]; ok {
-			eng.ProcessRecord(rec)
+	err := trace.Blocks(src, batch, func(recs []trace.Record) {
+		for i := range recs {
+			if eng, ok := engines[recs[i].QID.Switch()]; ok {
+				eng.ProcessRecord(&recs[i])
+			}
 		}
 	})
 	if err != nil {

@@ -26,7 +26,7 @@ type fabObs struct {
 
 	// pump mirrors the lazily-started pump for the scrape-time
 	// occupancy gauge (f.pump is feeder-owned).
-	pump atomic.Pointer[shard.Workers[pumpItem]]
+	pump atomic.Pointer[shard.Workers]
 }
 
 // newFabObs builds and registers the fabric families. switchNames are

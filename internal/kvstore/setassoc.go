@@ -44,6 +44,11 @@ type setAssoc struct {
 	// Used when ways > 8.
 	order []uint8
 	fill  []uint8
+	// occ holds one bit per bucket, set on the bucket's 0→1 fill
+	// transition and cleared by Flush, so a flush walks only occupied
+	// buckets (ascending, the same order as a full scan) instead of
+	// every bucket of the cache.
+	occ []uint64
 
 	// Word-packed bucket metadata, used when ways ≤ 8 (the practical
 	// geometries): byte i of metaOrd[b] is the slot id of the bucket's
@@ -90,6 +95,7 @@ func newSetAssoc(cfg Config, g Geometry) *setAssoc {
 		m:      m,
 		exact:  cfg.ExactMerge,
 		fill:   make([]uint8, g.Buckets),
+		occ:    make([]uint64, (g.Buckets+63)/64),
 		tr:     cfg.Trace,
 		trMask: cfg.Trace.HashMask(),
 		trSlot: cfg.TraceSpan,
@@ -202,6 +208,9 @@ func (c *setAssoc) Process(key packet.Key128, in *fold.Input) bool {
 		// 0..ways-1 each appear once in ord by invariant, so take the one
 		// at position n (initialized lazily below).
 		slotIdx = c.freeSlot(b, n)
+		if n == 0 {
+			c.occ[b>>6] |= 1 << uint(b&63)
+		}
 		c.fill[b]++
 		c.resident++
 	} else {
@@ -298,6 +307,7 @@ func (c *setAssoc) process8(key packet.Key128, in *fold.Input) bool {
 	if n < c.ways {
 		if n == 0 {
 			ordW = 0x0706050403020100 // identity permutation
+			c.occ[b>>6] |= 1 << uint(b&63)
 		}
 		slotIdx = uint8(ordW >> (8 * uint(n)))
 		c.fill[b]++
@@ -415,22 +425,28 @@ func (c *setAssoc) evict(slot int, reason EvictReason) {
 }
 
 // Flush implements Cache: evicts every resident entry bucket by bucket in
-// recency order.
+// recency order. The occupancy bitmap yields the non-empty buckets in
+// ascending order, so the eviction sequence is exactly a full scan's at
+// O(buckets/64 + resident) cost.
 func (c *setAssoc) Flush() {
-	for b := 0; b < c.geom.Buckets; b++ {
-		base := b * c.ways
-		n := int(c.fill[b])
-		for i := 0; i < n; i++ {
-			var slotIdx uint8
-			if c.packed8 {
-				slotIdx = uint8(c.metaOrd[b] >> (8 * uint(i)))
-			} else {
-				slotIdx = c.order[base+i]
+	for w, word := range c.occ {
+		for ; word != 0; word &= word - 1 {
+			b := w<<6 | tz64(word)
+			base := b * c.ways
+			n := int(c.fill[b])
+			for i := 0; i < n; i++ {
+				var slotIdx uint8
+				if c.packed8 {
+					slotIdx = uint8(c.metaOrd[b] >> (8 * uint(i)))
+				} else {
+					slotIdx = c.order[base+i]
+				}
+				c.evict(base+int(slotIdx), EvictFlush)
+				c.stats.Flushed++
 			}
-			c.evict(base+int(slotIdx), EvictFlush)
-			c.stats.Flushed++
+			c.fill[b] = 0
 		}
-		c.fill[b] = 0
+		c.occ[w] = 0
 	}
 	c.resident = 0
 }

@@ -42,9 +42,9 @@ const (
 	slotClose
 )
 
-type slot[T any] struct {
-	items []T // reused buffer, cap == batch
-	kind  uint8
+type slot struct {
+	b    Batch // reused columns, cap == batch
+	kind uint8
 }
 
 // ring is a bounded SPSC ring of batch slots. The producer appends into
@@ -55,8 +55,8 @@ type slot[T any] struct {
 // the spin phases fail (Dekker-style: waiter sets its flag, re-checks
 // the condition, then blocks; waker swaps the flag and drops a token —
 // a stale token only causes a spurious re-check).
-type ring[T any] struct {
-	slots []slot[T]
+type ring struct {
+	slots []slot
 	mask  uint64
 
 	_    [64]byte
@@ -70,9 +70,9 @@ type ring[T any] struct {
 	prodPark chan struct{}
 	consPark chan struct{}
 
-	// buf is the producer's view of the unpublished slot's buffer (nil
-	// when no slot is acquired). Producer-only.
-	buf []T
+	// buf is the unpublished slot's batch, filled in place (nil when no
+	// slot is acquired). Producer-only.
+	buf *Batch
 
 	// tm/widx, when set, count park/wake events for this ring. All
 	// recording sits on the park slow paths, never the fast publish /
@@ -82,37 +82,39 @@ type ring[T any] struct {
 	widx int
 }
 
-func newRing[T any](depth, batch int, tm *obs.TransportMetrics, widx int) *ring[T] {
-	r := &ring[T]{
-		slots:    make([]slot[T], depth),
+func newRing(depth, batch int, traced bool, tm *obs.TransportMetrics, widx int) *ring {
+	r := &ring{
+		slots:    make([]slot, depth),
 		mask:     uint64(depth - 1),
 		prodPark: make(chan struct{}, 1),
 		consPark: make(chan struct{}, 1),
 		tm:       tm,
 		widx:     widx,
 	}
-	for i := range r.slots {
-		r.slots[i].items = make([]T, 0, batch)
+	for i, b := range NewBatches(depth, batch, traced) {
+		r.slots[i].b = b
 	}
 	return r
 }
 
-// acquire waits until the slot at tail is reusable and points buf at its
-// (truncated) buffer. No-op when a slot is already acquired.
-func (r *ring[T]) acquire() {
+// acquire waits until the slot at tail is reusable, points buf at its
+// (emptied) batch and returns it. No-op when a slot is already acquired.
+func (r *ring) acquire() *Batch {
 	if r.buf != nil {
-		return
+		return r.buf
 	}
 	t := r.tail.Load()
 	if t-r.head.Load() >= uint64(len(r.slots)) {
 		r.waitNotFull(t)
 	}
-	r.buf = r.slots[t&r.mask].items[:0]
+	r.buf = &r.slots[t&r.mask].b
+	r.buf.Reset()
+	return r.buf
 }
 
 // waitNotFull is acquire's slow path: the ring is full, so spin, yield,
 // then park until the consumer releases a slot.
-func (r *ring[T]) waitNotFull(t uint64) {
+func (r *ring) waitNotFull(t uint64) {
 	for spin := 0; ; spin++ {
 		if t-r.head.Load() < uint64(len(r.slots)) {
 			return
@@ -138,11 +140,9 @@ func (r *ring[T]) waitNotFull(t uint64) {
 }
 
 // publish hands the acquired slot to the consumer with the given kind.
-func (r *ring[T]) publish(kind uint8) {
+func (r *ring) publish(kind uint8) {
 	t := r.tail.Load()
-	s := &r.slots[t&r.mask]
-	s.items = r.buf
-	s.kind = kind
+	r.slots[t&r.mask].kind = kind
 	r.buf = nil
 	r.tail.Store(t + 1)
 	if r.consWait.Swap(false) {
@@ -158,7 +158,7 @@ func (r *ring[T]) publish(kind uint8) {
 
 // take blocks until a slot is published and returns it. The caller must
 // release() when done with the slot's buffer.
-func (r *ring[T]) take() *slot[T] {
+func (r *ring) take() *slot {
 	h := r.head.Load()
 	if r.tail.Load() == h {
 		r.waitNotEmpty(h)
@@ -167,7 +167,7 @@ func (r *ring[T]) take() *slot[T] {
 }
 
 // waitNotEmpty is take's slow path, symmetric to waitNotFull.
-func (r *ring[T]) waitNotEmpty(h uint64) {
+func (r *ring) waitNotEmpty(h uint64) {
 	for spin := 0; ; spin++ {
 		if r.tail.Load() != h {
 			return
@@ -193,7 +193,7 @@ func (r *ring[T]) waitNotEmpty(h uint64) {
 }
 
 // release returns the consumed slot to the producer.
-func (r *ring[T]) release() {
+func (r *ring) release() {
 	r.head.Store(r.head.Load() + 1)
 	if r.prodWait.Swap(false) {
 		if r.tm != nil {
@@ -208,6 +208,6 @@ func (r *ring[T]) release() {
 
 // occupancy is the number of published-but-unreleased slots, sampled
 // racily (scrape-time gauge, exactness not required).
-func (r *ring[T]) occupancy() int {
+func (r *ring) occupancy() int {
 	return int(r.tail.Load() - r.head.Load())
 }

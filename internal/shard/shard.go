@@ -23,8 +23,6 @@
 package shard
 
 import (
-	"io"
-
 	"perfq/internal/obs"
 	"perfq/internal/packet"
 	"perfq/internal/trace"
@@ -43,21 +41,11 @@ const MaxTargets = 64
 // KeyFunc extracts the partition key one target groups records by.
 type KeyFunc func(*trace.Record) packet.Key128
 
-// ProcessFunc consumes one routed record on a worker goroutine. mask has
-// bit t set when this shard owns target t for this record. It is called
-// from exactly one goroutine per shard value.
-type ProcessFunc func(shard int, rec *trace.Record, mask uint64)
-
-// Item is one routed record with the targets its shard owns for it.
-// Span is the record's trace span when the router sampled it (zero
-// otherwise): the ring publish/consume edge orders the feeder's Begin
-// before the worker's appends, so the ref rides the item without extra
-// synchronization.
-type Item struct {
-	Rec  trace.Record
-	Mask uint64
-	Span obs.SpanRef
-}
+// BatchFunc consumes one routed batch on a worker goroutine: b.Masks[i]
+// has bit t set when this shard owns target t for b.Recs[i]. It is
+// called from exactly one goroutine per shard value, and b is valid only
+// for the duration of the call.
+type BatchFunc func(shard int, b *Batch)
 
 // Config describes a routing domain.
 type Config struct {
@@ -86,16 +74,12 @@ type Config struct {
 	// per-shard counters into atomic mirrors at batch granularity.
 	AfterBatch func(worker int)
 
-	// Trace, when non-nil, samples records at the router: a record
-	// whose partition-key hash is selected begins a span (HopRoute) that
-	// rides its Item through the transport. The router already hashes
-	// every key, so the sampling test is one AND+compare per key group.
+	// Trace, when non-nil, samples records at the Pool's router: a
+	// record whose partition-key hash is selected begins a span
+	// (HopRoute) that rides the batch's Spans column through the
+	// transport. The router already hashes every key, so the sampling
+	// test is one AND+compare per key group.
 	Trace *obs.Tracer
-	// SpanSlots, when tracing, are the per-shard mailboxes the worker
-	// loop parks the in-flight item's span in so downstream consumers
-	// on the same goroutine (the shard's caches) can append to it.
-	// Sized for Shards; nil disables the handoff.
-	SpanSlots []*obs.SpanSlot
 }
 
 // Index maps a partition key to a shard in [0, n). The key's Hash is
@@ -123,13 +107,14 @@ func indexHash(h uint64, n int) int {
 
 // Router computes per-shard target masks for records — the one routing
 // algorithm, shared by the batched Pool and inline (feederless) callers
-// such as the datapath's single-record Process path. A Router is not
+// such as the datapath's routed block path (Split). A Router is not
 // goroutine-safe; give each serial caller its own.
 type Router struct {
 	n       int
 	keys    []KeyFunc
 	targets []int
-	idx     []int // per-key shard index scratch
+	idx     []int    // per-key shard index scratch
+	masks   []uint64 // per-shard mask scratch of Split and Pool.Feed
 	free    uint64
 	rr      int
 
@@ -158,6 +143,7 @@ func NewRouter(cfg Config) *Router {
 		keys:    cfg.Keys,
 		targets: targets,
 		idx:     make([]int, len(cfg.Keys)),
+		masks:   make([]uint64, n),
 		free:    cfg.FreeMask,
 		trMask:  cfg.Trace.HashMask(),
 	}
@@ -210,86 +196,76 @@ func (r *Router) SampledKey() (packet.Key128, bool) {
 	return r.sampKey, r.sampled
 }
 
+// Split routes recs inline, appending each record to the batch of every
+// shard that owns a target for it (out has one batch per shard; the
+// caller resets them). spans, when non-nil, is the records' upstream
+// trace-span column, carried to every receiving shard.
+func (r *Router) Split(recs []trace.Record, spans []obs.SpanRef, out []Batch) {
+	m := r.masks
+	for i := range recs {
+		r.Route(&recs[i], m)
+		var span obs.SpanRef
+		if spans != nil {
+			span = spans[i]
+		}
+		for s, mask := range m {
+			if mask != 0 {
+				out[s].Push(&recs[i], mask, span)
+			}
+		}
+	}
+}
+
 // Pool routes records from a single feeder to per-shard worker
 // goroutines (a Workers transport fed through the Router). Feed,
 // Barrier and Close must be called from one goroutine.
 type Pool struct {
 	router  *Router
-	workers *Workers[Item]
-	masks   []uint64
+	workers *Workers
 	fed     uint64
 	tr      *obs.Tracer
 }
 
-// NewPool starts one worker goroutine per shard, each draining its batch
-// channel through process.
-func NewPool(cfg Config, process ProcessFunc) *Pool {
+// NewPool starts one worker goroutine per shard, each draining its ring
+// of batches through process.
+func NewPool(cfg Config, process BatchFunc) *Pool {
 	router := NewRouter(cfg)
-	n := router.Shards()
-	p := &Pool{router: router, masks: make([]uint64, n)}
+	p := &Pool{router: router, tr: cfg.Trace}
 	after := cfg.AfterBatch
-	consume := func(s int, items []Item) {
-		for i := range items {
-			process(s, &items[i].Rec, items[i].Mask)
-		}
-		if after != nil {
+	consume := process
+	if after != nil {
+		consume = func(s int, b *Batch) {
+			process(s, b)
 			after(s)
 		}
 	}
-	if cfg.Trace != nil && cfg.SpanSlots != nil {
-		// Traced variant: park each item's span in the shard's mailbox so
-		// the caches process runs can append to it, and stamp the
-		// transport hop (arg = batch length) on spans that have one.
-		p.tr = cfg.Trace
-		slots := cfg.SpanSlots
-		consume = func(s int, items []Item) {
-			slot := slots[s]
-			for i := range items {
-				if sp := items[i].Span; sp.Live() {
-					sp.Hop(obs.HopTransport, obs.OutcomeOK, uint64(len(items)))
-					slot.Ref = sp
-				} else {
-					slot.Ref = obs.SpanRef{}
-				}
-				process(s, &items[i].Rec, items[i].Mask)
-			}
-			slot.Ref = obs.SpanRef{}
-			if after != nil {
-				after(s)
-			}
-		}
-	}
-	p.workers = NewWorkersObs(n, cfg.Batch, cfg.Obs, consume)
+	p.workers = NewWorkers(router.Shards(), cfg.Batch, cfg.Obs, cfg.Trace != nil, consume)
 	return p
 }
-
-// Transport returns the pool's transport metrics (nil when Config.Obs
-// was nil).
-func (p *Pool) Transport() *obs.TransportMetrics { return p.workers.Metrics() }
 
 // Occupancy is the pool's current ring backlog in slots (racy gauge).
 func (p *Pool) Occupancy() int { return p.workers.Occupancy() }
 
-// Shards returns the worker count.
-func (p *Pool) Shards() int { return p.router.Shards() }
-
 // Fed returns how many records have been routed so far.
 func (p *Pool) Fed() uint64 { return p.fed }
 
-// Feed routes one record, copying it into the pending batch of every
-// shard that owns at least one target for it.
-func (p *Pool) Feed(rec *trace.Record) {
-	p.fed++
-	p.router.Route(rec, p.masks)
-	var span obs.SpanRef
-	if p.tr != nil {
-		if key, ok := p.router.SampledKey(); ok {
-			span = p.tr.Begin(0, key, obs.HopRoute, obs.OutcomeOK)
+// Feed routes a run of records, copying each into the pending batch of
+// every shard that owns at least one target for it.
+func (p *Pool) Feed(recs []trace.Record) {
+	p.fed += uint64(len(recs))
+	for i := range recs {
+		rec := &recs[i]
+		p.router.Route(rec, p.router.masks)
+		var span obs.SpanRef
+		if p.tr != nil {
+			if key, ok := p.router.SampledKey(); ok {
+				span = p.tr.Begin(0, key, obs.HopRoute, obs.OutcomeOK)
+			}
 		}
-	}
-	for s, m := range p.masks {
-		if m != 0 {
-			p.workers.Feed(s, Item{Rec: *rec, Mask: m, Span: span})
+		for s, m := range p.router.masks {
+			if m != 0 {
+				p.workers.Feed(s, rec, m, span)
+			}
 		}
 	}
 }
@@ -307,28 +283,9 @@ func (p *Pool) Close() { p.workers.Close() }
 
 // Run streams an entire source through a fresh pool and waits for the
 // workers to finish. It returns the number of records fed.
-func Run(cfg Config, src trace.Source, process ProcessFunc) (uint64, error) {
+func Run(cfg Config, src trace.Source, process BatchFunc) (uint64, error) {
 	p := NewPool(cfg, process)
-	if ss, ok := src.(*trace.SliceSource); ok {
-		// Bulk replay from memory: feed records in place; Feed copies
-		// into the batch either way, so Next's extra copy is pure loss.
-		rest := ss.Rest()
-		for i := range rest {
-			p.Feed(&rest[i])
-		}
-		p.Close()
-		return p.fed, nil
-	}
-	var rec trace.Record
-	for {
-		err := src.Next(&rec)
-		if err != nil {
-			p.Close()
-			if err == io.EOF {
-				return p.fed, nil
-			}
-			return p.fed, err
-		}
-		p.Feed(&rec)
-	}
+	err := trace.Blocks(src, DefaultBatch, p.Feed)
+	p.Close()
+	return p.fed, err
 }

@@ -2,9 +2,13 @@ package shard
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
+	"perfq/internal/compiler"
+	"perfq/internal/lang"
+	"perfq/internal/obs"
 	"perfq/internal/packet"
 	"perfq/internal/trace"
 )
@@ -80,6 +84,15 @@ func routeTrace(n int) []trace.Record {
 	return recs
 }
 
+// perRecord adapts a per-record callback to a BatchFunc.
+func perRecord(fn func(s int, rec *trace.Record, mask uint64)) BatchFunc {
+	return func(s int, b *Batch) {
+		for i := range b.Recs {
+			fn(s, &b.Recs[i], b.Masks[i])
+		}
+	}
+}
+
 func flowKey(rec *trace.Record) packet.Key128 { return rec.FlowKey().Pack() }
 
 func qidKey(rec *trace.Record) packet.Key128 {
@@ -105,16 +118,14 @@ func TestPoolRouting(t *testing.T) {
 		Keys:     []KeyFunc{flowKey, qidKey},
 		FreeMask: 1 << 2,
 	}
-	pool := NewPool(cfg, func(s int, rec *trace.Record, mask uint64) {
+	pool := NewPool(cfg, perRecord(func(s int, rec *trace.Record, mask uint64) {
 		for bit := 0; bit < 3; bit++ {
 			if mask&(1<<uint(bit)) != 0 {
 				perShard[s] = append(perShard[s], hit{rec.PktUniq, bit})
 			}
 		}
-	})
-	for i := range recs {
-		pool.Feed(&recs[i])
-	}
+	}))
+	pool.Feed(recs)
 	pool.Close()
 	if got := pool.Fed(); got != uint64(len(recs)) {
 		t.Fatalf("Fed = %d, want %d", got, len(recs))
@@ -159,11 +170,9 @@ func TestPoolRouting(t *testing.T) {
 func TestPoolPartialBatchFlush(t *testing.T) {
 	var processed atomic.Uint64
 	pool := NewPool(Config{Shards: 3, Batch: 256, Keys: []KeyFunc{flowKey}},
-		func(s int, rec *trace.Record, mask uint64) { processed.Add(1) })
+		perRecord(func(s int, rec *trace.Record, mask uint64) { processed.Add(1) }))
 	recs := routeTrace(10)
-	for i := range recs {
-		pool.Feed(&recs[i])
-	}
+	pool.Feed(recs)
 	pool.Close()
 	if processed.Load() != 10 {
 		t.Fatalf("processed %d of 10 records", processed.Load())
@@ -176,7 +185,7 @@ func TestRunStreamsSource(t *testing.T) {
 	var processed atomic.Uint64
 	fed, err := Run(Config{Shards: 2, Keys: []KeyFunc{flowKey}},
 		&trace.SliceSource{Records: recs},
-		func(s int, rec *trace.Record, mask uint64) { processed.Add(1) })
+		perRecord(func(s int, rec *trace.Record, mask uint64) { processed.Add(1) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,17 +199,15 @@ func TestRunStreamsSource(t *testing.T) {
 func TestSingleShardDegenerate(t *testing.T) {
 	recs := routeTrace(100)
 	pool := NewPool(Config{Shards: 1, Keys: []KeyFunc{flowKey, qidKey}, FreeMask: 1 << 2},
-		func(s int, rec *trace.Record, mask uint64) {
+		perRecord(func(s int, rec *trace.Record, mask uint64) {
 			if s != 0 {
 				t.Errorf("record on shard %d", s)
 			}
 			if mask != 0b111 {
 				t.Errorf("mask = %b, want 111", mask)
 			}
-		})
-	for i := range recs {
-		pool.Feed(&recs[i])
-	}
+		}))
+	pool.Feed(recs)
 	pool.Close()
 }
 
@@ -212,14 +219,12 @@ func TestSingleShardDegenerate(t *testing.T) {
 func TestPoolBarrier(t *testing.T) {
 	var processed atomic.Uint64
 	pool := NewPool(Config{Shards: 4, Batch: 64, Keys: []KeyFunc{flowKey}},
-		func(s int, rec *trace.Record, mask uint64) { processed.Add(1) })
+		perRecord(func(s int, rec *trace.Record, mask uint64) { processed.Add(1) }))
 	recs := routeTrace(5000)
 
 	fed := 0
 	for _, chunk := range []int{1700, 0, 1300, 2000} {
-		for i := fed; i < fed+chunk; i++ {
-			pool.Feed(&recs[i])
-		}
+		pool.Feed(recs[fed : fed+chunk])
 		fed += chunk
 		pool.Barrier()
 		if got := processed.Load(); got != uint64(fed) {
@@ -230,5 +235,75 @@ func TestPoolBarrier(t *testing.T) {
 	pool.Close()
 	if processed.Load() != uint64(len(recs)) {
 		t.Fatalf("processed %d of %d", processed.Load(), len(recs))
+	}
+}
+
+// TestSplitMatchesPool pins the inline router to the pool's: Split puts
+// every record on the same shards, with the same masks, in the same
+// per-shard order as the worker pool delivers them, and carries the
+// upstream span column through.
+func TestSplitMatchesPool(t *testing.T) {
+	const n = 3
+	recs := routeTrace(2000)
+	cfg := Config{Shards: n, Batch: 64, Keys: []KeyFunc{flowKey, qidKey}, FreeMask: 1 << 2}
+	type item struct {
+		uniq uint64
+		mask uint64
+	}
+	want := make([][]item, n)
+	pool := NewPool(cfg, perRecord(func(s int, rec *trace.Record, mask uint64) {
+		want[s] = append(want[s], item{rec.PktUniq, mask})
+	}))
+	pool.Feed(recs)
+	pool.Close()
+
+	spans := make([]obs.SpanRef, len(recs))
+	out := NewBatches(n, 0, true)
+	NewRouter(cfg).Split(recs, spans, out)
+	for s := range out {
+		b := &out[s]
+		if len(b.Masks) != b.Len() || len(b.Spans) != b.Len() {
+			t.Fatalf("shard %d: %d recs, %d masks, %d spans", s, b.Len(), len(b.Masks), len(b.Spans))
+		}
+		if b.Len() != len(want[s]) {
+			t.Fatalf("shard %d: Split routed %d records, pool %d", s, b.Len(), len(want[s]))
+		}
+		for i := range b.Recs {
+			if got := (item{b.Recs[i].PktUniq, b.Masks[i]}); got != want[s][i] {
+				t.Fatalf("shard %d record %d: Split %+v, pool %+v", s, i, got, want[s][i])
+			}
+		}
+	}
+}
+
+// BenchmarkRoute measures the router's per-record cost on the sharded
+// datapath's feed path — key hash, shard mask, and the push into the
+// per-shard batch columns — the ledger line that bounds sharded
+// scaling from the feeder's side. One op is one record.
+func BenchmarkRoute(b *testing.B) {
+	recs := routeTrace(DefaultBatch)
+	// The datapath's partition key for a GROUPBY 5tuple program.
+	chk, err := lang.Check(lang.MustParse("SELECT COUNT GROUPBY 5tuple"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := compiler.Compile(chk)
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := plan.Programs[0].Key.Of
+	for _, n := range []int{2, 4} {
+		b.Run(fmt.Sprintf("shards-%d", n), func(b *testing.B) {
+			r := NewRouter(Config{Shards: n, Keys: []KeyFunc{key}})
+			out := NewBatches(n, DefaultBatch, false)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += len(recs) {
+				for s := range out {
+					out[s].Reset()
+				}
+				r.Split(recs, nil, out)
+			}
+		})
 	}
 }

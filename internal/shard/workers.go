@@ -4,56 +4,99 @@ import (
 	"sync"
 
 	"perfq/internal/obs"
+	"perfq/internal/trace"
 )
 
-// Workers moves batched items from a single feeder to one goroutine per
-// worker — the transport shared by the key-hash sharded Pool and the
-// fabric's switch-demux pump, which differ only in how they pick a
-// worker for an item. Each worker drains its own bounded SPSC ring of
-// batch slots (see ring.go for why this replaced batched channels).
-// Feed, Barrier and Close must be called from one goroutine.
+// Batch is one ring slot's payload: a run of routed records held as
+// columns, handed whole to the consumer. Masks[i] is the set of targets
+// the receiving worker owns for Recs[i]; Spans[i] is the record's trace
+// span, and the Spans column exists only when tracing (nil otherwise).
+type Batch struct {
+	Recs  []trace.Record
+	Masks []uint64
+	Spans []obs.SpanRef
+}
+
+// Len returns the number of records in the batch.
+func (b *Batch) Len() int { return len(b.Recs) }
+
+// Reset empties the batch, keeping its column capacity.
+func (b *Batch) Reset() {
+	b.Recs, b.Masks, b.Spans = b.Recs[:0], b.Masks[:0], b.Spans[:0]
+}
+
+// Push appends one record (copied) with its mask and span. The span is
+// kept only when the batch carries a Spans column.
+func (b *Batch) Push(rec *trace.Record, mask uint64, span obs.SpanRef) {
+	b.Recs = append(b.Recs, *rec)
+	b.Masks = append(b.Masks, mask)
+	if b.Spans != nil {
+		b.Spans = append(b.Spans, span)
+	}
+}
+
+// NewBatches returns n empty batches, each with room for size records;
+// traced adds the Spans column.
+func NewBatches(n, size int, traced bool) []Batch {
+	out := make([]Batch, n)
+	for i := range out {
+		out[i] = Batch{Recs: make([]trace.Record, 0, size), Masks: make([]uint64, 0, size)}
+		if traced {
+			out[i].Spans = make([]obs.SpanRef, 0, size)
+		}
+	}
+	return out
+}
+
+// Workers moves batches of routed records from a single feeder to one
+// goroutine per worker — the transport shared by the key-hash sharded
+// Pool and the fabric's switch-demux pump, which differ only in how they
+// pick a worker for a record. Each worker drains its own bounded SPSC
+// ring of batch slots (see ring.go for why this replaced batched
+// channels). Feed, Barrier and Close must be called from one goroutine.
 //
 // A barrier sentinel slot plays the role the nil batch did on channels:
-// a worker acknowledges it in ring order, so after Barrier every item
+// a worker acknowledges it in ring order, so after Barrier every record
 // fed so far has been processed — the epoch-boundary alignment of the
 // windowed runtime.
-type Workers[T any] struct {
-	rings []*ring[T]
-	tm    *obs.TransportMetrics
+type Workers struct {
+	rings []*ring
 	wg    sync.WaitGroup
 	bar   sync.WaitGroup
 }
 
-// NewWorkers starts n worker goroutines, each draining its ring of item
+// NewWorkers starts n worker goroutines, each draining its ring of
 // batches through process (called with the worker's index). batch <= 0
-// selects DefaultBatch; each ring holds ringDepth batch slots.
-func NewWorkers[T any](n, batch int, process func(worker int, items []T)) *Workers[T] {
-	return NewWorkersObs(n, batch, nil, process)
-}
-
-// NewWorkersObs is NewWorkers with transport instrumentation: when tm
-// is non-nil (sized for n workers), every consumed batch records its
+// selects DefaultBatch; each ring holds ringDepth batch slots. traced
+// gives every slot a Spans column, and the worker stamps the transport
+// hop (arg = batch length) on each live span before process runs. When
+// tm is non-nil (sized for n workers), every consumed batch records its
 // size and the rings count park/wake events. Instrumentation sits on
 // the per-batch and park slow paths only — a nil tm costs one
-// predictable branch per batch, nothing per item.
-func NewWorkersObs[T any](n, batch int, tm *obs.TransportMetrics, process func(worker int, items []T)) *Workers[T] {
+// predictable branch per batch, nothing per record.
+func NewWorkers(n, batch int, tm *obs.TransportMetrics, traced bool, process func(worker int, b *Batch)) *Workers {
 	if batch <= 0 {
 		batch = DefaultBatch
 	}
-	w := &Workers[T]{rings: make([]*ring[T], n), tm: tm}
+	w := &Workers{rings: make([]*ring, n)}
 	for i := 0; i < n; i++ {
-		r := newRing[T](ringDepth, batch, tm, i)
+		r := newRing(ringDepth, batch, traced, tm, i)
 		w.rings[i] = r
 		w.wg.Add(1)
-		go func(i int, r *ring[T]) {
+		go func(i int, r *ring) {
 			defer w.wg.Done()
 			for {
 				s := r.take()
 				switch s.kind {
 				case slotBatch:
-					process(i, s.items)
+					for _, sp := range s.b.Spans {
+						if sp.Live() {
+							sp.Hop(obs.HopTransport, obs.OutcomeOK, uint64(s.b.Len()))
+						}
+					}
+					process(i, &s.b)
 					if tm != nil {
-						tm.RecordBatch(i, len(s.items))
+						tm.RecordBatch(i, s.b.Len())
 					}
 					r.release()
 				case slotBarrier:
@@ -69,13 +112,9 @@ func NewWorkersObs[T any](n, batch int, tm *obs.TransportMetrics, process func(w
 	return w
 }
 
-// Metrics returns the transport metrics wired at construction (nil for
-// uninstrumented Workers).
-func (w *Workers[T]) Metrics() *obs.TransportMetrics { return w.tm }
-
 // Occupancy sums the published-but-unprocessed slots across rings — a
 // racy scrape-time backlog gauge in slot units.
-func (w *Workers[T]) Occupancy() int {
+func (w *Workers) Occupancy() int {
 	var n int
 	for _, r := range w.rings {
 		n += r.occupancy()
@@ -83,25 +122,23 @@ func (w *Workers[T]) Occupancy() int {
 	return n
 }
 
-// Feed appends item to worker's pending batch slot, publishing it when
-// full. The slot buffers are ring-owned and reused in place, so the
+// Feed appends a record to worker's pending batch slot, publishing it
+// when full. The slot columns are ring-owned and reused in place, so the
 // steady state allocates nothing.
-func (w *Workers[T]) Feed(worker int, item T) {
+func (w *Workers) Feed(worker int, rec *trace.Record, mask uint64, span obs.SpanRef) {
 	r := w.rings[worker]
-	if r.buf == nil {
-		r.acquire()
-	}
-	r.buf = append(r.buf, item)
-	if len(r.buf) == cap(r.buf) {
+	b := r.acquire()
+	b.Push(rec, mask, span)
+	if len(b.Recs) == cap(b.Recs) {
 		r.publish(slotBatch)
 	}
 }
 
 // sentinel flushes every ring's pending partial batch and publishes one
 // sentinel slot per ring — the single flush path of Barrier and Close.
-func (w *Workers[T]) sentinel(kind uint8) {
+func (w *Workers) sentinel(kind uint8) {
 	for _, r := range w.rings {
-		if len(r.buf) > 0 {
+		if r.buf != nil && r.buf.Len() > 0 {
 			r.publish(slotBatch)
 		}
 		r.acquire()
@@ -109,9 +146,9 @@ func (w *Workers[T]) sentinel(kind uint8) {
 	}
 }
 
-// Barrier flushes pending batches and blocks until every item fed so
+// Barrier flushes pending batches and blocks until every record fed so
 // far has been processed. The workers stay usable.
-func (w *Workers[T]) Barrier() {
+func (w *Workers) Barrier() {
 	w.bar.Add(len(w.rings))
 	w.sentinel(slotBarrier)
 	w.bar.Wait()
@@ -119,7 +156,7 @@ func (w *Workers[T]) Barrier() {
 
 // Close flushes, delivers a close sentinel and waits for the workers to
 // exit. The Workers must not be fed afterwards.
-func (w *Workers[T]) Close() {
+func (w *Workers) Close() {
 	w.sentinel(slotClose)
 	w.wg.Wait()
 }

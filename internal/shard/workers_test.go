@@ -4,7 +4,16 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+
+	"perfq/internal/obs"
+	"perfq/internal/trace"
 )
+
+// feedN feeds record number v (carried in PktUniq) to worker.
+func feedN(w *Workers, worker, v int) {
+	rec := trace.Record{PktUniq: uint64(v)}
+	w.Feed(worker, &rec, 1, obs.SpanRef{})
+}
 
 // TestWorkersRingWrapAround pushes many multiples of the ring's total
 // capacity (depth × batch) through a single worker and checks every item
@@ -14,14 +23,19 @@ func TestWorkersRingWrapAround(t *testing.T) {
 	const batch = 8
 	const total = batch * ringDepth * 97 // many wraps, not slot-aligned
 	var got []int
-	w := NewWorkers(1, batch, func(worker int, items []int) {
+	w := NewWorkers(1, batch, nil, false, func(worker int, b *Batch) {
 		if worker != 0 {
 			t.Errorf("worker = %d, want 0", worker)
 		}
-		got = append(got, items...)
+		if len(b.Masks) != b.Len() || b.Spans != nil {
+			t.Errorf("batch columns: %d recs, %d masks, spans %v", b.Len(), len(b.Masks), b.Spans != nil)
+		}
+		for i := range b.Recs {
+			got = append(got, int(b.Recs[i].PktUniq))
+		}
 	})
 	for i := 0; i < total; i++ {
-		w.Feed(0, i)
+		feedN(w, 0, i)
 	}
 	w.Close()
 	if len(got) != total {
@@ -41,13 +55,13 @@ func TestWorkersRingWrapAround(t *testing.T) {
 func TestWorkersBarrierPartialBatch(t *testing.T) {
 	const batch = 64
 	var processed atomic.Int64
-	w := NewWorkers(3, batch, func(worker int, items []int) {
-		processed.Add(int64(len(items)))
+	w := NewWorkers(3, batch, nil, false, func(worker int, b *Batch) {
+		processed.Add(int64(b.Len()))
 	})
 	fed := 0
 	feed := func(n int) {
 		for i := 0; i < n; i++ {
-			w.Feed(fed%3, fed)
+			feedN(w, fed%3, fed)
 			fed++
 		}
 	}
@@ -68,10 +82,10 @@ func TestWorkersBarrierPartialBatch(t *testing.T) {
 // sentinel slots: barrier → immediate close, and barrier → feed → close.
 func TestWorkersCloseAfterBarrier(t *testing.T) {
 	var processed atomic.Int64
-	w := NewWorkers(2, 16, func(worker int, items []int) {
-		processed.Add(int64(len(items)))
+	w := NewWorkers(2, 16, nil, false, func(worker int, b *Batch) {
+		processed.Add(int64(b.Len()))
 	})
-	w.Feed(0, 1)
+	feedN(w, 0, 1)
 	w.Barrier()
 	w.Barrier() // idle barrier: no items since the last one
 	w.Close()
@@ -79,12 +93,12 @@ func TestWorkersCloseAfterBarrier(t *testing.T) {
 		t.Fatalf("processed %d, want 1", processed.Load())
 	}
 
-	w = NewWorkers(2, 16, func(worker int, items []int) {
-		processed.Add(int64(len(items)))
+	w = NewWorkers(2, 16, nil, false, func(worker int, b *Batch) {
+		processed.Add(int64(b.Len()))
 	})
 	w.Barrier() // barrier before any feed
-	w.Feed(1, 2)
-	w.Feed(0, 3)
+	feedN(w, 1, 2)
+	feedN(w, 0, 3)
 	w.Close()
 	if processed.Load() != 3 {
 		t.Fatalf("processed %d, want 3", processed.Load())
@@ -99,18 +113,18 @@ func TestWorkersCloseAfterBarrier(t *testing.T) {
 func TestWorkersSteadyStateZeroAlloc(t *testing.T) {
 	const batch = 32
 	var sink atomic.Int64
-	w := NewWorkers(2, batch, func(worker int, items []int) {
-		sink.Add(int64(len(items)))
+	w := NewWorkers(2, batch, nil, false, func(worker int, b *Batch) {
+		sink.Add(int64(b.Len()))
 	})
 	defer w.Close()
 	// Warm every slot buffer through one full wrap first.
 	for i := 0; i < batch*ringDepth*2; i++ {
-		w.Feed(i%2, i)
+		feedN(w, i%2, i)
 	}
 	w.Barrier()
 	allocs := testing.AllocsPerRun(10, func() {
 		for i := 0; i < batch*ringDepth*2; i++ {
-			w.Feed(i%2, i)
+			feedN(w, i%2, i)
 		}
 		w.Barrier()
 	})
@@ -127,13 +141,13 @@ func BenchmarkWorkersTransport(b *testing.B) {
 	for _, batch := range []int{32, 64, 128, 256, 512} {
 		b.Run(fmt.Sprintf("batch-%d", batch), func(b *testing.B) {
 			var sink atomic.Int64
-			w := NewWorkers(1, batch, func(worker int, items []int) {
-				sink.Add(int64(len(items)))
+			w := NewWorkers(1, batch, nil, false, func(worker int, b *Batch) {
+				sink.Add(int64(b.Len()))
 			})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w.Feed(0, i)
+				feedN(w, 0, i)
 			}
 			w.Close()
 			if sink.Load() != int64(b.N) {

@@ -9,18 +9,18 @@ import (
 	"perfq/internal/trace"
 )
 
-// This file holds the datapath's per-record hot path: plan-wide compiled
+// This file holds the datapath's hot-path schedule: plan-wide compiled
 // metadata built once in New (hotPath) and the per-shard scratch that
-// keeps the steady-state loop allocation-free (see shardState.process in
-// switchsim.go). Three properties matter:
+// keeps the steady-state block loop allocation-free (see processBatch in
+// blockpath.go). Three properties matter:
 //
 //   - No IR tree-walking: WHERE predicates, SELECT columns and fold
 //     bodies run as fold bytecode (compiled by the plan compiler; the
 //     tree interpreter remains only as a fallback for codes the VM
 //     cannot hold).
 //   - One field extraction per record: the union of raw fields every
-//     compiled code and key spec reads is extracted once into a dense
-//     vector; bytecode field reads and key packing index it directly.
+//     compiled code reads is extracted once per block into field-major
+//     lanes that the vectorized bytecode indexes directly.
 //   - One key computation per distinct GROUPBY key: programs sharing a
 //     key spec form a key group whose packed key is computed lazily, at
 //     most once per record.
@@ -45,30 +45,6 @@ type progHot struct {
 	wheres []*fold.Code // compiled member guards, aligned with sp.Members
 	group  int          // index into hotPath.groups
 	always bool         // some member is unguarded: every record matches
-}
-
-// matches reports whether any member's guard admits the record — the
-// match half of the match-action entry.
-func (ph *progHot) matches(in *fold.Input) bool {
-	if ph.always {
-		return true
-	}
-	for i, w := range ph.wheres {
-		if w != nil {
-			if w.EvalBool(in, nil) {
-				return true
-			}
-			continue
-		}
-		if p := ph.sp.Members[i].Where; p != nil {
-			if fold.EvalPred(p, in, nil) {
-				return true
-			}
-			continue
-		}
-		return true // unguarded member admits everything
-	}
-	return false
 }
 
 // hotPath is the compiled per-record schedule, shared read-only by every
@@ -163,29 +139,28 @@ func (hp *hotPath) routing(shards, batch int) shard.Config {
 }
 
 // shardScratch is the per-shard mutable hot-path state. Everything here
-// exists so the steady-state per-record path performs zero heap
-// allocations: the Input (with its dense field vector) is reused across
-// records, key packing scratch lives per group, and select rows /
-// key-component copies are carved from a chunked slab. The blk/bregs/
-// gkeys/gmask quartet is the columnar-path equivalent: a field-major
-// block, the block register file, and per-group packed keys with a
-// computed-lanes mask.
+// exists so the steady-state block loop performs zero heap allocations:
+// a field-major block with its register file, per-group packed keys
+// with a computed-lanes mask, per-target lane masks, and a chunked slab
+// that select rows and key-component copies are carved from. The Input
+// (with its dense field vector) serves sparse per-lane work: SELECT
+// column evaluation over matched lanes.
 type shardScratch struct {
 	in     fold.Input
 	fields [trace.NumFields]float64
-	keys   []packet.Key128 // per key group
 	slab   floatSlab
 
 	blk   fold.InputBlock
 	bregs fold.BlockRegs
 	gkeys [][fold.BlockSize]packet.Key128 // per key group, per lane
 	gmask []uint64                        // per key group: lanes packed this block
+	lanes []uint64                        // per routing target: the block's lanes
+	live  uint64                          // lanes whose record carries a live span
 
-	// spanSlot is the shard's trace-span mailbox: the transport worker
-	// (or the fabric pump via SetTraceSpan) parks the in-flight record's
-	// sampled span here and the shard's caches append their hops to it.
-	// Owned by the shard's processing goroutine; unused when tracing is
-	// off.
+	// spanSlot is the shard's trace-span mailbox: the block loop parks
+	// a traced lane's span here while the shard's caches process that
+	// lane, so their hops append to it. Owned by the shard's processing
+	// goroutine; unused when tracing is off.
 	spanSlot obs.SpanSlot
 }
 
@@ -193,9 +168,9 @@ func (sc *shardScratch) init(hp *hotPath) {
 	if hp.fields != nil {
 		sc.in.Fields = sc.fields[:]
 	}
-	sc.keys = make([]packet.Key128, len(hp.groups))
 	sc.gkeys = make([][fold.BlockSize]packet.Key128, len(hp.groups))
 	sc.gmask = make([]uint64, len(hp.groups))
+	sc.lanes = make([]uint64, len(hp.progs)+1)
 }
 
 // floatSlab hands out []float64 rows carved from large chunks, so

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"sync/atomic"
 
+	"perfq/internal/fold"
 	"perfq/internal/obs"
 	"perfq/internal/shard"
 )
@@ -11,16 +12,16 @@ import (
 // Datapath instrumentation. The hot loop keeps its existing plain
 // (non-atomic) counters — d.packets, per-shard path counters, the
 // kvstore/backing stat structs — and this file mirrors them into
-// striped atomic cells at batch boundaries: every pubBlocks blocks on
-// the columnar path, after every consumed ring batch on the sharded
-// path (shard.Config.AfterBatch), and at every Feed/Sync/Flush/
-// CloseWindow edge. The scraper reads only the mirrors, so enabling
+// striped atomic cells at batch boundaries: every pubRecs records on
+// the inline paths, after every consumed ring batch on the pooled path
+// (shard.Config.AfterBatch), and at every Feed/Sync/Flush/CloseWindow
+// edge. The scraper reads only the mirrors, so enabling
 // metrics adds zero work per record and the whole surface is clean
 // under -race.
 
-// pubBlocks is the mirror cadence of the columnar block path: one
-// publish per 256 blocks ≈ one per 16k records.
-const pubBlocks = 256
+// pubRecs is the mirror cadence of the inline paths: one publish per 16k
+// records (256 blocks).
+const pubRecs = 256 * fold.BlockSize
 
 // progObs mirrors one program's cache + store counters, striped per
 // shard.
@@ -39,7 +40,7 @@ type progObs struct {
 type dpObs struct {
 	packets    *obs.Counter // stripe 0: feeder-owned
 	blockRecs  *obs.Counter // per shard: records through the block path
-	scalarRecs *obs.Counter // per shard: records through the scalar path
+	scalarRecs *obs.Counter // per shard: records through the scalar test oracle (0 in production)
 	progs      []progObs
 
 	// pool mirrors the datapath's lazily-started worker pool for the
@@ -62,7 +63,7 @@ func newDpObs(reg *obs.Registry, labels string, nShards, nProgs int) *dpObs {
 	reg.CounterVal("perfq_path_block_records_total",
 		"Records processed by the columnar block path", labels, o.blockRecs)
 	reg.CounterVal("perfq_path_scalar_records_total",
-		"Records processed by the scalar (routed) path", labels, o.scalarRecs)
+		"Records processed by the scalar per-record path (every bulk path runs the block loop; nonzero only under the test oracle)", labels, o.scalarRecs)
 	for p := range o.progs {
 		po := &o.progs[p]
 		pl := obs.JoinLabels(labels, `prog="`+strconv.Itoa(p)+`"`)

@@ -27,7 +27,6 @@ package switchsim
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"runtime"
 	"slices"
 	"sync"
@@ -120,10 +119,11 @@ type Datapath struct {
 	shards  []*shardState
 	selStgs []*compiler.Stage // select-over-T stages, in plan order
 	routing shard.Config
-	router  *shard.Router // inline Process path's router (Run's pool owns its own)
-	pool    *shard.Pool   // persistent sharded feeder of the streaming/windowed path
+	router  *shard.Router   // inline routed path's router (the pool owns its own)
+	split   []shard.Batch   // inline routed path's per-shard block columns
+	pool    *shard.Pool     // persistent sharded feeder of the streaming/windowed path
+	one     [1]trace.Record // Process's one-lane block
 	packets uint64
-	masks   []uint64 // scratch per-shard masks for the inline Process path
 
 	accBuf []Acc         // CloseWindow's reused accuracy snapshot (borrowed by callers)
 	tscr   tablesScratch // Tables' reused materialization scratch
@@ -215,16 +215,11 @@ func New(plan *compiler.Plan, cfg Config) (*Datapath, error) {
 	d.tr = cfg.Trace
 	d.journal = cfg.Journal
 	d.routing = d.hot.routing(n, cfg.ShardBatch)
-	if cfg.Trace != nil {
-		d.routing.Trace = cfg.Trace
-		slots := make([]*obs.SpanSlot, n)
-		for s := range slots {
-			slots[s] = &d.shards[s].scratch.spanSlot
-		}
-		d.routing.SpanSlots = slots
-	}
+	d.routing.Trace = cfg.Trace
 	d.router = shard.NewRouter(d.routing)
-	d.masks = make([]uint64, n)
+	if n > 1 {
+		d.split = shard.NewBatches(n, fold.BlockSize, cfg.Trace != nil)
+	}
 	if cfg.Metrics != nil {
 		d.obs = newDpObs(cfg.Metrics, cfg.MetricsLabels, n, len(plan.Programs))
 		d.routing.Obs = obs.NewTransportMetrics(n)
@@ -248,119 +243,43 @@ func (d *Datapath) Shards() int { return len(d.shards) }
 // Packets returns how many records the datapath has processed.
 func (d *Datapath) Packets() uint64 { return d.packets }
 
-// process applies one routed record to the targets this shard owns.
-// all bypasses the mask (the serial datapath owns every target, and
-// masks cannot represent plans beyond shard.MaxTargets programs).
-//
-// This is the datapath's innermost loop — the software stand-in for the
-// paper's one-update-per-clock pipeline stage — and it is allocation-free
-// in the steady state: the Input and its dense field vector are per-shard
-// scratch, WHERE/SELECT/fold execution is flat bytecode, each distinct
-// GROUPBY key is packed at most once per record, and the rows it does
-// retain (mirrored SELECT output, digest-key component values) come from
-// a chunked slab.
-func (sh *shardState) process(d *Datapath, rec *trace.Record, mask uint64, all bool) {
-	sh.nScalarRecs++
-	hp := d.hot
-	sc := &sh.scratch
-	sc.in.Rec = rec
-	for _, f := range hp.fields {
-		sc.fields[f] = float64(rec.Field(f))
-	}
-	in := &sc.in
-
-	// Mirror matching records for select-over-T stages.
-	if (all || mask&hp.selBit != 0) && len(hp.selects) > 0 {
-		for si := range hp.selects {
-			sel := &hp.selects[si]
-			if sel.where != nil {
-				if !sel.where.EvalBool(in, nil) {
-					continue
-				}
-			} else if sel.st.Where != nil && !fold.EvalPred(sel.st.Where, in, nil) {
-				continue
-			}
-			row := sc.slab.take(len(sel.st.Cols))
-			for i := range row {
-				if c := sel.cols[i]; c != nil {
-					row[i] = c.Eval(in, nil)
-				} else {
-					row[i] = fold.EvalExpr(sel.st.Cols[i], in, nil)
-				}
-			}
-			sh.selRows[si] = append(sh.selRows[si], row)
-		}
-	}
-
-	// Key-value store programs. A record enters a program's store if it
-	// matches any member's guard; the fused fold's internal guards keep
-	// per-member state exact. Programs sharing a GROUPBY key share one
-	// key computation (computed tracks which groups are packed).
-	var computed uint64
-	for pi := range hp.progs {
-		if !all && mask&(1<<uint(pi)) == 0 {
-			continue
-		}
-		ph := &hp.progs[pi]
-		if !ph.matches(in) {
-			continue
-		}
-		g := ph.group
-		if computed&(1<<uint(g)) == 0 {
-			if kg := &hp.groups[g]; kg.fiveTuple {
-				sc.keys[g] = compiler.FiveTupleKey(rec) // inlines
-			} else {
-				sc.keys[g] = kg.spec.Of(rec)
-			}
-			computed |= 1 << uint(g)
-		}
-		ps := sh.progs[pi]
-		inserted := ps.cache.Process(sc.keys[g], in)
-		if inserted && ps.keyVals != nil {
-			// Digest-mode keys are irreversible, so component values ride
-			// alongside. Recording only on insert keeps map traffic off
-			// the hit path entirely (the pre-existing version consulted
-			// the map once per packet); the containment check makes
-			// re-inserts after eviction idempotent so slab rows aren't
-			// duplicated.
-			key := sc.keys[g]
-			if _, ok := ps.keyVals[key]; !ok {
-				kg := &hp.groups[g]
-				var kv [8]float64
-				kg.spec.Values(rec, kv[:kg.nk])
-				ps.keyVals[key] = sc.slab.copyOf(kv[:kg.nk])
-			}
-		}
-	}
+// Process applies one packet observation to every switch-resident stage,
+// on the calling goroutine, as a one-lane block (with Shards > 1 the
+// record is routed to its owning shards inline). Bulk replay should
+// prefer Feed or Run.
+func (d *Datapath) Process(rec *trace.Record) {
+	d.one[0] = *rec
+	d.Apply(d.one[:], nil)
 }
 
-// Process applies one packet observation to every switch-resident stage,
-// on the calling goroutine. With Shards > 1 the record is routed to the
-// owning shards' state inline with the same mask computation the
-// parallel workers see (serial but shard-equivalent); bulk replay
-// should prefer Run, which streams through the parallel workers.
-func (d *Datapath) Process(rec *trace.Record) {
-	d.packets++
+// Apply processes a run of records inline on the calling goroutine, which
+// must own the datapath (no live worker pool). With Shards > 1 each
+// block is routed first, then every shard runs its share through the
+// same block loop the pool workers run — same routing masks, same
+// per-shard arrival order. spans, when non-nil, is the records' trace
+// span column (the fabric pump's demux samples), so cache hops land on
+// each sampled record's span.
+func (d *Datapath) Apply(recs []trace.Record, spans []obs.SpanRef) {
+	d.packets += uint64(len(recs))
 	if len(d.shards) == 1 {
-		d.shards[0].process(d, rec, 0, true)
+		d.shards[0].processBatch(d, recs, nil, spans)
 		return
 	}
-	d.router.Route(rec, d.masks)
-	for s, m := range d.masks {
-		if m != 0 {
-			d.shards[s].process(d, rec, m, false)
+	for base := 0; base < len(recs); base += fold.BlockSize {
+		end := min(base+fold.BlockSize, len(recs))
+		var sp []obs.SpanRef
+		if spans != nil {
+			sp = spans[base:end]
 		}
-	}
-}
-
-// SetTraceSpan parks a span in every shard's trace mailbox — the hook an
-// upstream serial feeder (the fabric pump, whose demux does the
-// sampling) uses so inline Process calls land their cache hops on the
-// record's span. Call with the zero SpanRef to clear. Only meaningful
-// while the caller owns the datapath serially (no live worker pool).
-func (d *Datapath) SetTraceSpan(ref obs.SpanRef) {
-	for _, sh := range d.shards {
-		sh.scratch.spanSlot.Ref = ref
+		for s := range d.split {
+			d.split[s].Reset()
+		}
+		d.router.Split(recs[base:end], sp, d.split)
+		for s := range d.split {
+			if b := &d.split[s]; b.Len() > 0 {
+				d.shards[s].processBatch(d, b.Recs, b.Masks, b.Spans)
+			}
+		}
 	}
 }
 
@@ -373,42 +292,17 @@ func (d *Datapath) serialFeed() bool {
 	return d.pool == nil && runtime.GOMAXPROCS(0) < 2
 }
 
-// Run streams a whole source and flushes. With Shards > 1 the stream is
-// hash-partitioned across one worker goroutine per shard (applied
-// inline at GOMAXPROCS=1, where workers could not run in parallel).
-// Otherwise records go through Feed a block at a time, so a single
-// shard takes the columnar block path whatever the source. On a source
-// error the records read before it stay applied and nothing is flushed.
+// Run streams a whole source through Feed and flushes: with Shards > 1
+// the stream is hash-partitioned across one worker goroutine per shard
+// (applied inline at GOMAXPROCS=1, where workers could not run in
+// parallel); every path runs the columnar block loop. On a source error
+// the records read before it stay applied and nothing is flushed.
 func (d *Datapath) Run(src trace.Source) error {
-	if len(d.shards) == 1 || d.serialFeed() {
-		if ss, ok := src.(*trace.SliceSource); ok {
-			// Bulk replay from memory: feed the records in place instead
-			// of copying each through Next.
-			d.Feed(ss.Rest())
-			d.Flush()
-			return nil
-		}
-		blk := make([]trace.Record, fold.BlockSize)
-		var err error
-		for err == nil {
-			n := 0
-			for ; n < len(blk); n++ {
-				if err = src.Next(&blk[n]); err != nil {
-					break
-				}
-			}
-			d.Feed(blk[:n])
-		}
-		if err != io.EOF {
-			return err
-		}
-		d.Flush()
-		return nil
+	if len(d.shards) > 1 && !d.serialFeed() {
+		d.startPool() // ring set-up is set-up cost: before the first read
 	}
-	fed, err := shard.Run(d.routing, src, func(s int, rec *trace.Record, mask uint64) {
-		d.shards[s].process(d, rec, mask, false)
-	})
-	d.packets += fed
+	err := trace.Blocks(src, fold.BlockSize, d.Feed)
+	d.EndFeed()
 	if err != nil {
 		return err
 	}
@@ -448,37 +342,36 @@ func (d *Datapath) Feed(recs []trace.Record) {
 	if len(recs) == 0 {
 		return
 	}
-	d.packets += uint64(len(recs))
-	if len(d.shards) == 1 {
-		d.shards[0].processBlocks(d, recs)
-		d.publishPackets()
-		return
-	}
-	if d.serialFeed() {
-		for i := range recs {
-			rec := &recs[i]
-			d.router.Route(rec, d.masks)
-			for s, m := range d.masks {
-				if m != 0 {
-					d.shards[s].process(d, rec, m, false)
-				}
+	if len(d.shards) == 1 || d.serialFeed() {
+		// Inline: with metrics on, apply in pubRecs chunks so a scraper
+		// sees live progress mid-feed.
+		for len(recs) > 0 {
+			n := len(recs)
+			if d.obs != nil {
+				n = min(n, pubRecs)
 			}
+			d.Apply(recs[:n], nil)
+			d.PublishMetrics()
+			recs = recs[n:]
 		}
-		d.publishPackets()
 		return
 	}
+	d.startPool()
+	d.packets += uint64(len(recs))
+	d.pool.Feed(recs)
+	d.publishPackets()
+}
+
+// startPool starts the streaming worker pool unless it is running.
+func (d *Datapath) startPool() {
 	if d.pool == nil {
-		d.pool = shard.NewPool(d.routing, func(s int, rec *trace.Record, mask uint64) {
-			d.shards[s].process(d, rec, mask, false)
+		d.pool = shard.NewPool(d.routing, func(s int, b *shard.Batch) {
+			d.shards[s].processBatch(d, b.Recs, b.Masks, b.Spans)
 		})
 		if d.obs != nil {
 			d.obs.pool.Store(d.pool)
 		}
 	}
-	for i := range recs {
-		d.pool.Feed(&recs[i])
-	}
-	d.publishPackets()
 }
 
 // Sync blocks until every record handed to Feed has been applied to its

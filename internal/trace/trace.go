@@ -170,3 +170,37 @@ func Collect(src Source) ([]Record, error) {
 		out = append(out, rec)
 	}
 }
+
+// Blocks drains src through fn a run of at most n records at a time — the
+// bulk drive loop of every datapath. A SliceSource is handed over in one
+// run without copying; any other source is read into a reused n-record
+// buffer, so fn must not retain the slice. A source error ends the loop
+// after the records read before it were handed over; io.EOF is not an
+// error.
+func Blocks(src Source, n int, fn func([]Record)) error {
+	if ss, ok := src.(*SliceSource); ok {
+		if rest := ss.Rest(); len(rest) > 0 {
+			fn(rest)
+		}
+		return nil
+	}
+	buf := make([]Record, n)
+	for {
+		k := 0
+		var err error
+		for ; k < n; k++ {
+			if err = src.Next(&buf[k]); err != nil {
+				break
+			}
+		}
+		if k > 0 {
+			fn(buf[:k])
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
