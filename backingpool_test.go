@@ -1,6 +1,7 @@
 package perfq
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -58,6 +59,30 @@ func TestBackingPoolEndToEnd(t *testing.T) {
 // TestBackingPoolWithShards: the eviction callbacks fire from
 // concurrent shard workers; the pool must keep exact books anyway.
 func TestBackingPoolWithShards(t *testing.T) {
+	checkPoolBooks(t, WithShards(2))
+}
+
+// TestBackingPoolWindowedBooks: every window close flushes the caches
+// into the pool, so a windowed run's Evictions + Flushed must still be
+// exactly what the backends applied.
+func TestBackingPoolWindowedBooks(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			res := checkPoolBooks(t, WithShards(shards), WithWindow(WindowSpec{Count: 5000}))
+			if res.WindowCount() < 2 || res.Flushed == 0 {
+				t.Fatalf("%d windows, %d flushed: the run never closed a window mid-stream",
+					res.WindowCount(), res.Flushed)
+			}
+		})
+	}
+}
+
+// checkPoolBooks runs COUNT GROUPBY 5tuple over a DC trace through a
+// tiny cache with its evictions mirrored into a two-backend pool, and
+// checks the books: nothing dropped, and the backends applied exactly
+// the Evictions + Flushed the run reports.
+func checkPoolBooks(t *testing.T, opts ...RunOption) *Results {
+	t.Helper()
 	q := MustCompile("SELECT COUNT GROUPBY 5tuple")
 	cluster, err := q.ServeBackingStores(2)
 	if err != nil {
@@ -71,7 +96,7 @@ func TestBackingPoolWithShards(t *testing.T) {
 	defer pool.Close()
 
 	res, err := q.Run(DCTrace(4, 2*time.Second),
-		WithCache(128, 8), WithShards(2), WithBackingPool(pool))
+		append([]RunOption{WithCache(128, 8), WithBackingPool(pool)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,4 +113,5 @@ func TestBackingPoolWithShards(t *testing.T) {
 	if want := res.Evictions + res.Flushed; applied != want {
 		t.Fatalf("backends applied %d evictions, datapath emitted %d", applied, want)
 	}
+	return res
 }

@@ -327,9 +327,6 @@ func (c *compilerCtx) compileGroup(cq *lang.CheckedQuery, st *Stage) (*Stage, er
 	if comb := concatCombine(funcs, offs); comb != nil {
 		st.Fold.Merge = fold.MergeAssoc
 		st.Fold.Combine = comb
-		if len(funcs) == 1 {
-			st.Fold.Native = funcs[0].Native
-		}
 	}
 	// Annotate with merge metadata; non-linear folds simply stay
 	// MergeNone (epoch semantics).
@@ -617,7 +614,6 @@ func (sp *SwitchProgram) build() error {
 	if single && sp.Members[0].Fold.Merge == fold.MergeAssoc {
 		sp.Fold.Merge = fold.MergeAssoc
 		sp.Fold.Combine = sp.Members[0].Fold.Combine
-		sp.Fold.Native = sp.Members[0].Fold.Native
 	}
 	_ = linear.Annotate(sp.Fold)
 	return nil

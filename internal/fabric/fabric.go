@@ -149,6 +149,15 @@ func (f *Fabric) startPump() {
 	}
 }
 
+// Start launches the pump when the stream will use one (see serialPath),
+// so ring set-up is paid before the first record is read rather than
+// inside the first Feed. Feed starts the pump lazily either way.
+func (f *Fabric) Start() {
+	if f.pump == nil && !f.serialPath() {
+		f.startPump()
+	}
+}
+
 // demux returns the pump index of rec's switch and counts the record
 // routed, or returns -1 and counts it unrouted when its switch ID is
 // outside the topology.
@@ -410,10 +419,11 @@ func (f *Fabric) Process(rec *trace.Record) {
 // GOMAXPROCS=1 records are demuxed and applied inline instead: the pump
 // hop costs throughput and can buy no parallelism.
 func (f *Fabric) Run(src trace.Source) error {
-	if f.pump == nil && !f.serialPath() {
-		f.startPump() // ring set-up is set-up cost: before the first read
-	}
-	err := trace.Blocks(src, batch, f.Feed)
+	f.Start()
+	err := trace.Blocks(src, batch, func(recs []trace.Record) error {
+		f.Feed(recs)
+		return nil
+	})
 	f.EndFeed()
 	if err != nil {
 		return err

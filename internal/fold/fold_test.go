@@ -135,20 +135,21 @@ func TestBuiltinsMatchInterpreter(t *testing.T) {
 		if err := f.Prog.Validate(); err != nil {
 			t.Fatalf("%s: %v", f.Name(), err)
 		}
-		native := make([]float64, f.StateLen())
+		f.EnsureCompiled()
+		compiled := make([]float64, f.StateLen())
 		interp := make([]float64, f.StateLen())
-		f.Init(native)
+		f.Init(compiled)
 		f.Init(interp)
 		g := f.Interpreted()
 		for i := 0; i < 200; i++ {
 			tin := rng.Int63n(1e6)
 			r := rec(tin, tin+rng.Int63n(1e5)+1, 64, 0, 0)
-			f.Update(native, in(r))
+			f.Update(compiled, in(r))
 			g.Update(interp, in(r))
 		}
-		for i := range native {
-			if math.Abs(native[i]-interp[i]) > 1e-9*math.Max(1, math.Abs(interp[i])) {
-				t.Errorf("%s: native %v vs interpreted %v", f.Name(), native, interp)
+		for i := range compiled {
+			if math.Abs(compiled[i]-interp[i]) > 1e-9*math.Max(1, math.Abs(interp[i])) {
+				t.Errorf("%s: compiled %v vs interpreted %v", f.Name(), compiled, interp)
 			}
 		}
 	}
@@ -375,8 +376,9 @@ func BenchmarkInterpretedEwma(b *testing.B) {
 	}
 }
 
-func BenchmarkNativeEwma(b *testing.B) {
+func BenchmarkCompiledEwma(b *testing.B) {
 	f := Ewma(Bin{OpSub, FieldRef(trace.FieldTout), FieldRef(trace.FieldTin)}, 0.25)
+	f.EnsureCompiled()
 	state := make([]float64, 1)
 	f.Init(state)
 	r := rec(100, 400, 1500, 1448, 0)

@@ -38,18 +38,16 @@ func (m MergeKind) String() string {
 }
 
 // Func is a fold function ready for the datapath: the IR program (always
-// present, used for analysis and for the reference interpreter), an
-// optional native fast path, and merge metadata filled in by the
-// linear-in-state analyzer or the built-in constructors.
+// present, used for analysis and for the reference interpreter), its
+// bytecode, and merge metadata filled in by the linear-in-state analyzer
+// or the built-in constructors.
 type Func struct {
 	Prog *Program
 	// Code is the program body compiled to bytecode (see vm.go), filled
-	// by EnsureCompiled. When non-nil it is the hot path; nil falls back
-	// to Native or the tree interpreter.
+	// by EnsureCompiled. When non-nil it is the hot path; nil (a body
+	// deeper than the VM register file) falls back to the tree
+	// interpreter.
 	Code *Code
-	// Native, when non-nil, is a hand-written update used instead of the
-	// interpreter on hot paths. It must be semantically identical to Prog.
-	Native func(state []float64, in *Input)
 	// Merge declares how evictions reconcile with the backing store.
 	Merge MergeKind
 	// Linear holds the coefficient matrices when Merge == MergeLinear.
@@ -73,10 +71,6 @@ func (f *Func) Update(state []float64, in *Input) {
 		f.Code.Run(state, in)
 		return
 	}
-	if f.Native != nil {
-		f.Native(state, in)
-		return
-	}
 	f.Prog.Update(state, in)
 }
 
@@ -97,11 +91,10 @@ func (f *Func) EnsureCompiled() {
 	}
 }
 
-// Interpreted returns a copy of f with the compiled and native fast paths
-// removed, for differential testing against the reference interpreter.
+// Interpreted returns a copy of f with the compiled fast path removed,
+// for differential testing against the reference interpreter.
 func (f *Func) Interpreted() *Func {
 	g := *f
-	g.Native = nil
 	g.Code = nil
 	if g.Linear != nil {
 		ls := *g.Linear
@@ -121,9 +114,8 @@ func Count() *Func {
 		StateNames: []string{"count"},
 	}
 	return &Func{
-		Prog:   p,
-		Native: func(s []float64, _ *Input) { s[0]++ },
-		Merge:  MergeLinear,
+		Prog:  p,
+		Merge: MergeLinear,
 		Linear: &LinearSpec{
 			A: [][]Expr{{Const(1)}},
 			B: []Expr{Const(1)},
@@ -140,10 +132,7 @@ func Sum(e Expr) *Func {
 		StateNames: []string{"sum"},
 	}
 	return &Func{
-		Prog: p,
-		Native: func(s []float64, in *Input) {
-			s[0] += EvalExpr(e, in, nil)
-		},
+		Prog:  p,
 		Merge: MergeLinear,
 		Linear: &LinearSpec{
 			A: [][]Expr{{Const(1)}},
@@ -167,12 +156,7 @@ func Max(e Expr) *Func {
 		StateNames: []string{"max"},
 	}
 	return &Func{
-		Prog: p,
-		Native: func(s []float64, in *Input) {
-			if v := EvalExpr(e, in, nil); v > s[0] {
-				s[0] = v
-			}
-		},
+		Prog:  p,
 		Merge: MergeAssoc,
 		Combine: func(dst, src []float64) {
 			if src[0] > dst[0] {
@@ -197,12 +181,7 @@ func Min(e Expr) *Func {
 		StateNames: []string{"min"},
 	}
 	return &Func{
-		Prog: p,
-		Native: func(s []float64, in *Input) {
-			if v := EvalExpr(e, in, nil); v < s[0] {
-				s[0] = v
-			}
-		},
+		Prog:  p,
 		Merge: MergeAssoc,
 		Combine: func(dst, src []float64) {
 			if src[0] < dst[0] {
@@ -225,11 +204,7 @@ func Avg(e Expr) *Func {
 		StateNames: []string{"sum", "count"},
 	}
 	return &Func{
-		Prog: p,
-		Native: func(s []float64, in *Input) {
-			s[0] += EvalExpr(e, in, nil)
-			s[1]++
-		},
+		Prog:  p,
 		Merge: MergeLinear,
 		Linear: &LinearSpec{
 			A: [][]Expr{{Const(1), nil}, {nil, Const(1)}},
@@ -254,10 +229,7 @@ func Ewma(e Expr, alpha float64) *Func {
 		StateNames: []string{"ewma"},
 	}
 	return &Func{
-		Prog: p,
-		Native: func(s []float64, in *Input) {
-			s[0] = (1-alpha)*s[0] + alpha*EvalExpr(e, in, nil)
-		},
+		Prog:  p,
 		Merge: MergeLinear,
 		Linear: &LinearSpec{
 			A: [][]Expr{{Const(1 - alpha)}},

@@ -285,7 +285,10 @@ func (p *Pool) Close() { p.workers.Close() }
 // workers to finish. It returns the number of records fed.
 func Run(cfg Config, src trace.Source, process BatchFunc) (uint64, error) {
 	p := NewPool(cfg, process)
-	err := trace.Blocks(src, DefaultBatch, p.Feed)
+	err := trace.Blocks(src, DefaultBatch, func(recs []trace.Record) error {
+		p.Feed(recs)
+		return nil
+	})
 	p.Close()
 	return p.fed, err
 }

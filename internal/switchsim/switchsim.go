@@ -298,10 +298,11 @@ func (d *Datapath) serialFeed() bool {
 // parallel); every path runs the columnar block loop. On a source error
 // the records read before it stay applied and nothing is flushed.
 func (d *Datapath) Run(src trace.Source) error {
-	if len(d.shards) > 1 && !d.serialFeed() {
-		d.startPool() // ring set-up is set-up cost: before the first read
-	}
-	err := trace.Blocks(src, fold.BlockSize, d.Feed)
+	d.Start()
+	err := trace.Blocks(src, fold.BlockSize, func(recs []trace.Record) error {
+		d.Feed(recs)
+		return nil
+	})
 	d.EndFeed()
 	if err != nil {
 		return err
@@ -360,6 +361,16 @@ func (d *Datapath) Feed(recs []trace.Record) {
 	d.packets += uint64(len(recs))
 	d.pool.Feed(recs)
 	d.publishPackets()
+}
+
+// Start starts the worker pool when the stream will use one (Shards > 1
+// and a second processor to run workers on), so ring set-up is paid
+// before the first record is read rather than inside the first Feed.
+// Feed starts the pool lazily either way; Start only moves the cost.
+func (d *Datapath) Start() {
+	if len(d.shards) > 1 && !d.serialFeed() {
+		d.startPool()
+	}
 }
 
 // startPool starts the streaming worker pool unless it is running.

@@ -176,11 +176,12 @@ func Collect(src Source) ([]Record, error) {
 // run without copying; any other source is read into a reused n-record
 // buffer, so fn must not retain the slice. A source error ends the loop
 // after the records read before it were handed over; io.EOF is not an
-// error.
-func Blocks(src Source, n int, fn func([]Record)) error {
+// error. An fn error ends the loop at once (nothing more is read) and is
+// returned.
+func Blocks(src Source, n int, fn func([]Record) error) error {
 	if ss, ok := src.(*SliceSource); ok {
 		if rest := ss.Rest(); len(rest) > 0 {
-			fn(rest)
+			return fn(rest)
 		}
 		return nil
 	}
@@ -194,7 +195,9 @@ func Blocks(src Source, n int, fn func([]Record)) error {
 			}
 		}
 		if k > 0 {
-			fn(buf[:k])
+			if ferr := fn(buf[:k]); ferr != nil {
+				return ferr
+			}
 		}
 		if err == io.EOF {
 			return nil

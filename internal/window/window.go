@@ -35,7 +35,6 @@ package window
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"perfq/internal/exec"
@@ -90,38 +89,48 @@ func (s Spec) String() string {
 	return fmt.Sprintf("every %dns (%s)", s.IntervalNs, mode)
 }
 
-// cutter assigns a window index to every record of a stream, in order.
-// Both the live scheduler and the ground-truth slicer run the same
-// cutter, which is what makes their window schedules — including the
-// clamping of slightly late records into the open window — identical.
+// cutter assigns records to windows, in order. Both the live scheduler
+// and the ground-truth slicer run the same cutter, which is what makes
+// their window schedules — including the clamping of slightly late
+// records into the open window — identical.
 type cutter struct {
 	spec    Spec
 	started bool
 	origin  int64 // first record's Tin (ByTime anchor)
-	count   int64 // records assigned so far
+	count   int64 // records assigned so far (Count schedules)
 	cur     int64 // current (open) window index
 }
 
-// next returns the window index rec belongs to. Indices never decrease:
+// fit returns how many leading records of a non-empty run belong to the
+// open window c.cur and assigns them to it. When that is fewer than
+// len(recs), recs[n] opens window w > c.cur: the caller closes the
+// windows up to w, sets c.cur = w and fits the rest. Count schedules fit
+// a run by arithmetic on the records left in the open window; interval
+// schedules step through the run record by record. Indices never decrease:
 // a record whose timestamp falls before the open window's start is
 // counted into the open window (the stream is time-ordered by contract;
 // this makes minor reordering harmless rather than fatal).
-func (c *cutter) next(rec *trace.Record) int64 {
+func (c *cutter) fit(recs []trace.Record) (n int, w int64) {
 	if !c.started {
 		c.started = true
-		c.origin = rec.Tin
+		c.origin = recs[0].Tin
 	}
-	var w int64
 	if c.spec.Count > 0 {
-		w = c.count / c.spec.Count
-	} else {
-		w = (rec.Tin - c.origin) / c.spec.IntervalNs
-		if w < c.cur {
-			w = c.cur
+		// c.cur*Count ≤ c.count, so neither side overflows.
+		left := c.spec.Count - (c.count - c.cur*c.spec.Count)
+		if int64(len(recs)) > left {
+			c.count += left
+			return int(left), c.cur + 1
+		}
+		c.count += int64(len(recs))
+		return len(recs), c.cur
+	}
+	for i := range recs {
+		if w := (recs[i].Tin - c.origin) / c.spec.IntervalNs; w > c.cur {
+			return i, w
 		}
 	}
-	c.count++
-	return w
+	return len(recs), c.cur
 }
 
 // Result is one closed window's output.
@@ -154,21 +163,30 @@ type Runner interface {
 	CloseWindow(carry bool) (map[string]*exec.Table, []switchsim.Acc, error)
 }
 
-// Finisher is implemented by runners with worker goroutines to release
+// Starter is implemented by runners with worker goroutines to set up
 // (the sharded datapath's pool, the fabric's per-switch pump). Stream
-// calls it once the stream ends.
+// calls it once, before the first read, so the set-up is not paid
+// inside the first window.
+type Starter interface {
+	Start()
+}
+
+// Finisher is implemented by runners with worker goroutines to release.
+// Stream calls it once the stream ends.
 type Finisher interface {
 	EndFeed()
 }
 
-// feedBatch is the record-buffer granularity of the generic (non-slice)
-// source path.
+// feedBatch is the read-buffer size, in records, for sources that are
+// not slices (a slice is handed over whole, without copying).
 const feedBatch = 512
 
 // Stream drives src through r under the spec's window schedule, calling
 // emit after every window close (including the final partial window and
 // any empty windows a time gap produces). It returns the number of
-// windows closed. An emit error aborts the stream and is returned
+// windows closed. The source is read in chunks (trace.Blocks), each fed
+// to r in window-aligned runs, so records never straddle a close. An
+// emit error aborts the stream — nothing more is read — and is returned
 // verbatim; a source error is returned after closing nothing further
 // (records already fed stay fed, but no partial window is emitted for
 // them). A drained source with zero records closes zero windows.
@@ -177,15 +195,23 @@ func Stream(src trace.Source, spec Spec, r Runner, emit func(*Result) error) (in
 		return 0, err
 	}
 	s := &scheduler{spec: spec, c: cutter{spec: spec}, r: r, emit: emit}
+	if st, ok := r.(Starter); ok {
+		st.Start()
+	}
 	defer func() {
 		if f, ok := r.(Finisher); ok {
 			f.EndFeed()
 		}
 	}()
-	if ss, ok := src.(*trace.SliceSource); ok {
-		return s.runSlice(ss.Rest())
+	if err := trace.Blocks(src, feedBatch, s.feed); err != nil {
+		return s.closed, err
 	}
-	return s.runStream(src)
+	if s.c.started {
+		if err := s.closeTo(s.c.cur + 1); err != nil {
+			return s.closed, err
+		}
+	}
+	return s.closed, nil
 }
 
 // scheduler is Stream's per-invocation state.
@@ -266,71 +292,25 @@ func (s *scheduler) closeTo(target int64) error {
 	return nil
 }
 
-// runSlice feeds window-aligned subslices directly — no buffering copy.
-func (s *scheduler) runSlice(recs []trace.Record) (int64, error) {
-	lo := 0
-	for i := range recs {
-		w := s.c.next(&recs[i])
-		if w > s.c.cur {
-			s.r.Feed(recs[lo:i])
-			s.winRecs += int64(i - lo)
-			lo = i
-			if err := s.closeTo(w); err != nil {
-				return s.closed, err
-			}
-			s.c.cur = w
-		}
-	}
-	s.r.Feed(recs[lo:])
-	s.winRecs += int64(len(recs) - lo)
-	if s.c.started {
-		if err := s.closeTo(s.c.cur + 1); err != nil {
-			return s.closed, err
-		}
-	}
-	return s.closed, nil
-}
-
-// runStream buffers up to feedBatch records between Feed calls. The
-// buffer is flushed at every window boundary, so records never straddle
-// a close.
-func (s *scheduler) runStream(src trace.Source) (int64, error) {
-	buf := make([]trace.Record, 0, feedBatch)
-	flush := func() {
-		s.r.Feed(buf)
-		s.winRecs += int64(len(buf))
-		buf = buf[:0]
-	}
-	var rec trace.Record
+// feed hands one chunk of the source to the runner, split at window
+// boundaries: each run that belongs to one window is fed whole, and the
+// windows it ends are closed before the next run is fed.
+func (s *scheduler) feed(recs []trace.Record) error {
 	for {
-		err := src.Next(&rec)
-		if err == io.EOF {
-			break
+		n, w := s.c.fit(recs)
+		if n > 0 {
+			s.r.Feed(recs[:n])
+			s.winRecs += int64(n)
 		}
-		if err != nil {
-			flush()
-			return s.closed, err
+		if n == len(recs) {
+			return nil
 		}
-		w := s.c.next(&rec)
-		if w > s.c.cur {
-			flush()
-			if cerr := s.closeTo(w); cerr != nil {
-				return s.closed, cerr
-			}
-			s.c.cur = w
+		if err := s.closeTo(w); err != nil {
+			return err
 		}
-		buf = append(buf, rec)
-		if len(buf) == cap(buf) {
-			flush()
-		}
+		s.c.cur = w
+		recs = recs[n:]
 	}
-	flush()
-	if s.c.started {
-		if err := s.closeTo(s.c.cur + 1); err != nil {
-			return s.closed, err
-		}
-	}
-	return s.closed, nil
 }
 
 // Slices returns each window's [start, end) record-index range over recs
@@ -343,15 +323,15 @@ func (s Spec) Slices(recs []trace.Record) [][2]int {
 	}
 	c := cutter{spec: s}
 	var out [][2]int
-	lo := 0
-	for i := range recs {
-		w := c.next(&recs[i])
-		for w > c.cur {
+	lo, i := 0, 0 // the open window holds recs[lo:i]
+	for {
+		n, w := c.fit(recs[i:])
+		if i += n; i == len(recs) {
+			return append(out, [2]int{lo, i})
+		}
+		for ; c.cur < w; c.cur++ {
 			out = append(out, [2]int{lo, i})
 			lo = i
-			c.cur++
 		}
 	}
-	out = append(out, [2]int{lo, len(recs)})
-	return out
 }

@@ -3,6 +3,7 @@ package window
 import (
 	"fmt"
 	"io"
+	"math"
 	"testing"
 
 	"perfq/internal/exec"
@@ -240,5 +241,105 @@ func TestStreamEmptyCarryWindowsReusePrev(t *testing.T) {
 		if results[i].Acc[0].Valid != results[0].Acc[0].Valid {
 			t.Fatalf("empty window %d cumulative acc diverged", i)
 		}
+	}
+}
+
+// TestStreamChunkEdges: count schedules split each chunk the source is
+// read in by arithmetic, so windows that end exactly on, just before or
+// just after a chunk edge — or never — must still deliver the Slices
+// schedule, from a slice (one chunk) or a hidden source (feedBatch-record
+// chunks).
+func TestStreamChunkEdges(t *testing.T) {
+	recs := recsAt(make([]int64, 3*feedBatch+7)...)
+	for _, count := range []int64{1, feedBatch - 1, feedBatch, feedBatch + 1, math.MaxInt64} {
+		spec := Spec{Count: count}
+		bounds := spec.Slices(recs)
+		// Slices runs the same cutter; pin it to plain arithmetic first.
+		for i, b := range bounds {
+			lo, hi := int64(i)*count, min(int64(i+1)*count, int64(len(recs)))
+			if int64(b[0]) != lo || int64(b[1]) != hi || len(bounds) != int((int64(len(recs))-1)/count+1) {
+				t.Fatalf("count %d: Slices = %v…, window %d is %v", count, bounds[:min(3, len(bounds))], i, b)
+			}
+		}
+		for _, viaSlice := range []bool{true, false} {
+			var src trace.Source = &trace.SliceSource{Records: recs}
+			if !viaSlice {
+				src = &hiddenSource{s: trace.SliceSource{Records: recs}}
+			}
+			r := &fakeRunner{}
+			n, err := Stream(src, spec, r, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int(n) != len(bounds) || len(r.perClose) != len(bounds) {
+				t.Fatalf("count %d slice=%v: %d windows (%d closes), want %d",
+					count, viaSlice, n, len(r.perClose), len(bounds))
+			}
+			for i, b := range bounds {
+				if got, want := r.perClose[i], int64(b[1]-b[0]); got != want {
+					t.Fatalf("count %d slice=%v window %d: %d records, want %d", count, viaSlice, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// countingSource counts the records read from it.
+type countingSource struct {
+	hiddenSource
+	reads int
+}
+
+func (c *countingSource) Next(rec *trace.Record) error {
+	c.reads++
+	return c.hiddenSource.Next(rec)
+}
+
+// TestStreamEmitErrorStopsReading: a window closing in the middle of a
+// chunk fails its emit; the rest of that chunk is not fed and no further
+// chunk is read.
+func TestStreamEmitErrorStopsReading(t *testing.T) {
+	src := &countingSource{hiddenSource: hiddenSource{s: trace.SliceSource{Records: recsAt(make([]int64, 4*feedBatch)...)}}}
+	r := &fakeRunner{}
+	wantErr := io.ErrUnexpectedEOF
+	n, err := Stream(src, Spec{Count: 100}, r, func(*Result) error { return wantErr })
+	if err != wantErr || n != 1 {
+		t.Fatalf("n=%d err=%v, want 1 window and %v", n, err, wantErr)
+	}
+	if src.reads != feedBatch {
+		t.Fatalf("read %d records after the emit error, want only the first chunk's %d", src.reads, feedBatch)
+	}
+	if fed := r.perClose[0] + r.fed; fed != 100 {
+		t.Fatalf("fed %d records, want only the closed window's 100", fed)
+	}
+}
+
+// startRunner is a fakeRunner with a Start hook that records whether
+// the source had been read from when it ran.
+type startRunner struct {
+	fakeRunner
+	src        *countingSource
+	starts     int
+	readsAtRun int
+}
+
+func (s *startRunner) Start() {
+	s.starts++
+	s.readsAtRun = s.src.reads
+}
+
+// TestStreamStartsBeforeFirstRead: Start runs exactly once, before the
+// source is first read.
+func TestStreamStartsBeforeFirstRead(t *testing.T) {
+	src := &countingSource{hiddenSource: hiddenSource{s: trace.SliceSource{Records: recsAt(make([]int64, 1000)...)}}}
+	r := &startRunner{src: src}
+	if _, err := Stream(src, Spec{Count: 300}, r, nil); err != nil {
+		t.Fatal(err)
+	}
+	if r.starts != 1 || r.readsAtRun != 0 {
+		t.Fatalf("Start ran %d times, after %d reads; want once, before the first", r.starts, r.readsAtRun)
+	}
+	if r.finished != 1 {
+		t.Fatalf("EndFeed called %d times", r.finished)
 	}
 }

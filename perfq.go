@@ -27,6 +27,7 @@ package perfq
 import (
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
 	"unicode/utf8"
@@ -284,79 +285,20 @@ func WithBackingPool(p *BackingPool) RunOption {
 
 // Run executes the query on the full co-designed datapath: switch-stage
 // aggregations run through the cache + backing-store pipeline, downstream
-// stages on the collector. It returns every stage's table.
+// stages on the collector. It returns every stage's table. Without
+// WithWindow the whole source is one measurement window, closed by the
+// cache flush at its end; with it, Run is Stream without a callback.
 func (q *Query) Run(src Source, opts ...RunOption) (*Results, error) {
+	return q.run(src, newRunConfig(opts), nil)
+}
+
+// newRunConfig applies the run options in order.
+func newRunConfig(opts []RunOption) *runConfig {
 	var cfg runConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	cfg.wireMetrics()
-	if cfg.win != nil {
-		return q.stream(src, &cfg, nil)
-	}
-	if cfg.topo != nil {
-		return q.runFabric(src, &cfg)
-	}
-	dp, err := switchsim.New(q.plan, cfg.sw)
-	if err != nil {
-		return nil, err
-	}
-	if err := dp.Run(src); err != nil {
-		return nil, err
-	}
-	tables, err := dp.Collect()
-	if err != nil {
-		return nil, err
-	}
-	stats := dp.Stats()
-	var evictions, flushed uint64
-	for _, s := range stats {
-		evictions += s.Evictions
-		flushed += s.Flushed
-	}
-	r := &Results{tables: tables, q: q, Evictions: evictions, Flushed: flushed}
-	r.setAccuracy(dp.Accuracy)
-	return r, nil
-}
-
-// setAccuracy fills the per-program accuracy list from a per-program
-// (valid, total) reader and its summed ValidKeys/TotalKeys headline.
-// Plans with no switch program report 1/1 (nothing can be invalid).
-func (r *Results) setAccuracy(read func(i int) (valid, total int)) {
-	n := len(r.q.plan.Programs)
-	if n == 0 {
-		r.ValidKeys, r.TotalKeys = 1, 1
-		return
-	}
-	r.accs = make([]switchsim.Acc, n)
-	for i := range r.accs {
-		r.accs[i].Valid, r.accs[i].Total = read(i)
-		r.ValidKeys += r.accs[i].Valid
-		r.TotalKeys += r.accs[i].Total
-	}
-}
-
-// runFabric executes the query across a whole topology (WithFabric).
-func (q *Query) runFabric(src Source, cfg *runConfig) (*Results, error) {
-	fab, err := fabric.New(q.plan, cfg.topo, fabric.Config{Switch: cfg.sw})
-	if err != nil {
-		return nil, err
-	}
-	if err := fab.Run(src); err != nil {
-		return nil, err
-	}
-	tables, err := fab.Collect()
-	if err != nil {
-		return nil, err
-	}
-	var evictions, flushed uint64
-	for _, s := range fab.Stats() {
-		evictions += s.Evictions
-		flushed += s.Flushed
-	}
-	r := &Results{tables: tables, q: q, fab: fab, Evictions: evictions, Flushed: flushed}
-	r.setAccuracy(fab.Accuracy)
-	return r, nil
+	return &cfg
 }
 
 // WindowResult is one closed measurement window of a windowed run: its
@@ -434,69 +376,76 @@ func (w *WindowResult) WindowAccuracy(i int) (valid, total int) {
 // returned Results carries the retained ring (Windows), the final
 // window's tables, and whole-run totals.
 func (q *Query) Stream(src Source, emit func(*WindowResult) error, opts ...RunOption) (*Results, error) {
-	var cfg runConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := newRunConfig(opts)
 	if cfg.win == nil {
 		return nil, fmt.Errorf("perfq: Stream requires the WithWindow option")
 	}
-	cfg.wireMetrics()
-	return q.stream(src, &cfg, emit)
+	return q.run(src, cfg, emit)
 }
 
-// stream is the windowed runtime behind Run(WithWindow) and Stream.
-func (q *Query) stream(src Source, cfg *runConfig, emit func(*WindowResult) error) (*Results, error) {
-	spec := window.Spec{
-		Count:      cfg.win.Count,
-		IntervalNs: cfg.win.Interval.Nanoseconds(),
-		Carry:      cfg.win.Carry,
-		Journal:    cfg.journal,
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
+// engine is what a run reads off its runner: the single-switch datapath
+// or, under WithFabric, the fabric.
+type engine interface {
+	window.Runner
+	Collect() (map[string]*exec.Table, error)
+	Accuracy(i int) (valid, total int)
+	Stats() []kvstore.Stats
+}
+
+// run is the one orchestration behind Run and Stream: it builds the
+// runner, drives it through the window scheduler and assembles Results.
+// Without WithWindow the schedule is one unbounded carry-over window —
+// carry keeps the stores after the close, so per-switch views still read
+// them — and the run has no window ring, window metrics or window-close
+// journal events.
+func (q *Query) run(src Source, cfg *runConfig, emit func(*WindowResult) error) (*Results, error) {
+	cfg.wireMetrics()
+	spec := window.Spec{Count: math.MaxInt64, Carry: true}
 	var wm *obs.WindowMetrics
-	if cfg.metrics != nil {
-		keep := cfg.win.Keep
-		if keep <= 0 {
-			keep = 16
+	res := &Results{q: q}
+	if w := cfg.win; w != nil {
+		spec = window.Spec{
+			Count:      w.Count,
+			IntervalNs: w.Interval.Nanoseconds(),
+			Carry:      w.Carry,
+			Journal:    cfg.journal,
 		}
-		wm = obs.NewWindowMetrics(keep)
-		wm.Register(cfg.metrics, "")
-		spec.Obs = wm
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
+		if cfg.metrics != nil {
+			keep := w.Keep
+			if keep <= 0 {
+				keep = 16
+			}
+			wm = obs.NewWindowMetrics(keep)
+			wm.Register(cfg.metrics, "")
+			spec.Obs = wm
+		}
+		res.windows = window.NewRing[*WindowResult](w.Keep)
 	}
-	var (
-		runner window.Runner
-		stats  func() []kvstore.Stats
-		fab    *fabric.Fabric
-	)
+	var eng engine
 	if cfg.topo != nil {
 		f, err := fabric.New(q.plan, cfg.topo, fabric.Config{Switch: cfg.sw})
 		if err != nil {
 			return nil, err
 		}
-		runner, stats, fab = f, f.Stats, f
+		eng, res.fab = f, f
 	} else {
 		dp, err := switchsim.New(q.plan, cfg.sw)
 		if err != nil {
 			return nil, err
 		}
-		runner, stats = dp, dp.Stats
-	}
-	evictions := func() uint64 {
-		var n uint64
-		for _, s := range stats() {
-			n += s.Evictions
-		}
-		return n
+		eng = dp
 	}
 
-	res := &Results{q: q, fab: fab, windows: window.NewRing[*WindowResult](cfg.win.Keep)}
-	var prevEv uint64
-	var prevDropped int64
-	_, err := window.Stream(src, spec, runner, func(wr *window.Result) error {
-		ev := evictions()
+	var (
+		last        *WindowResult
+		prevEv      uint64
+		prevDropped int64
+	)
+	_, err := window.Stream(src, spec, eng, func(wr *window.Result) error {
+		ev, _ := evictions(eng.Stats())
 		out := &WindowResult{
 			Index:     wr.Index,
 			Records:   wr.Records,
@@ -508,15 +457,10 @@ func (q *Query) stream(src Source, cfg *runConfig, emit func(*WindowResult) erro
 			accs:      wr.Acc,
 		}
 		prevEv = ev
-		for _, a := range wr.Acc {
-			out.ValidKeys += a.Valid
-			out.TotalKeys += a.Total
-			out.WindowValidKeys += a.WinValid
-			out.WindowTotalKeys += a.WinTotal
-		}
-		if len(wr.Acc) == 0 {
-			out.ValidKeys, out.TotalKeys = 1, 1
-			out.WindowValidKeys, out.WindowTotalKeys = 1, 1
+		out.ValidKeys, out.TotalKeys, out.WindowValidKeys, out.WindowTotalKeys = sumAcc(wr.Acc)
+		last = out
+		if res.windows == nil {
+			return nil
 		}
 		res.windows.Push(out)
 		res.windowCount++
@@ -540,21 +484,47 @@ func (q *Query) stream(src Source, cfg *runConfig, emit func(*WindowResult) erro
 	if err != nil {
 		return nil, err
 	}
-	res.Evictions = evictions()
-	if last, ok := res.windows.Last(); ok {
-		res.tables = last.tables
+	res.Evictions, res.Flushed = evictions(eng.Stats())
+	if last != nil {
+		res.tables, res.accs = last.tables, last.accs
 		res.ValidKeys, res.TotalKeys = last.ValidKeys, last.TotalKeys
-		res.accs = last.accs
-	} else {
-		// Zero windows closed (empty source). Keep Run's contract: every
-		// declared stage materializes, as an empty table.
-		res.tables = make(map[string]*exec.Table, len(q.plan.Stages))
-		for _, st := range q.plan.Stages {
-			res.tables[st.Name] = &exec.Table{Schema: st.Schema}
-		}
-		res.ValidKeys, res.TotalKeys = 1, 1
+		return res, nil
 	}
+	// Zero windows closed (empty source): report what the stores hold —
+	// every stage as an empty table, and the runner's accuracy.
+	if res.tables, err = eng.Collect(); err != nil {
+		return nil, err
+	}
+	res.accs = make([]switchsim.Acc, len(q.plan.Programs))
+	for i := range res.accs {
+		res.accs[i].Valid, res.accs[i].Total = eng.Accuracy(i)
+	}
+	res.ValidKeys, res.TotalKeys, _, _ = sumAcc(res.accs)
 	return res, nil
+}
+
+// evictions sums capacity and flush evictions over per-program stats.
+func evictions(stats []kvstore.Stats) (capacity, flushed uint64) {
+	for _, s := range stats {
+		capacity += s.Evictions
+		flushed += s.Flushed
+	}
+	return capacity, flushed
+}
+
+// sumAcc sums per-program accuracy, whole-run and window-scoped. Plans
+// with no switch program report 1/1 (nothing can be invalid).
+func sumAcc(accs []switchsim.Acc) (valid, total, winValid, winTotal int) {
+	if len(accs) == 0 {
+		return 1, 1, 1, 1
+	}
+	for _, a := range accs {
+		valid += a.Valid
+		total += a.Total
+		winValid += a.WinValid
+		winTotal += a.WinTotal
+	}
+	return valid, total, winValid, winTotal
 }
 
 // GroundTruth executes the query with unbounded memory (no cache, no
@@ -563,10 +533,7 @@ func (q *Query) stream(src Source, cfg *runConfig, emit func(*WindowResult) erro
 // a cache); sharded ground truth is byte-identical to serial for every
 // query.
 func (q *Query) GroundTruth(src Source, opts ...RunOption) (*Results, error) {
-	var cfg runConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := newRunConfig(opts)
 	if cfg.topo != nil {
 		tables, err := fabric.GroundTruth(q.plan, cfg.topo, src)
 		if err != nil {
@@ -601,10 +568,10 @@ type Results struct {
 
 	// Evictions counts capacity evictions across all switch stores.
 	Evictions uint64
-	// Flushed counts the end-of-run cache flush evictions (the entries
-	// still resident when the stream ended). Evictions + Flushed is the
-	// total eviction stream an OnEvict observer — e.g. WithBackingPool —
-	// saw during the run.
+	// Flushed counts the cache-flush evictions at window closes (for a
+	// run without WithWindow, the entries still resident when the stream
+	// ended). Evictions + Flushed is the total eviction stream an OnEvict
+	// observer — e.g. WithBackingPool — saw during the run.
 	Flushed uint64
 	// ValidKeys/TotalKeys report backing-store accuracy summed over every
 	// switch store (1/1 for ground truth, or plans with no switch
